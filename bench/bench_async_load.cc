@@ -1,5 +1,5 @@
 // Async-serving load test: holds ~10k established keep-alive connections
-// against coverage_server's epoll io model while a handful of closed-loop
+// against coverage_server's event loop while a handful of closed-loop
 // clients measure request latency through the crowd. The point of the
 // event loop is exactly this shape — massive idle concurrency must cost
 // nothing but memory, and the p99 of live traffic must not degrade behind
@@ -47,7 +47,6 @@ using coverage::DatagenSpec;
 using coverage::ServiceOptions;
 using coverage::Stopwatch;
 using coverage::http::HttpClient;
-using coverage::http::IoModel;
 
 // Child-side storage, static so the post-fork code never allocates.
 constexpr std::size_t kMaxIdle = 16384;
@@ -173,7 +172,7 @@ int main() {
   using coverage::bench::FullScale;
 
   Banner("async serving under massive idle concurrency",
-         "epoll io model, ~10k parked keep-alive connections + live load");
+         "event loop, ~10k parked keep-alive connections + live load");
 
   // Both processes pay one fd per connection; leave headroom for the
   // binary's own descriptors on either side of the fork.
@@ -198,7 +197,6 @@ int main() {
   CoverageServerOptions options;
   options.http.port = 0;
   options.http.num_threads = 4;
-  options.http.io_model = IoModel::kEpoll;
   options.http.idle_timeout_ms = 600000;  // nothing parks out mid-bench
   options.http.max_pending = 0;           // the crowd is the workload
   options.http.backlog = 1024;

@@ -25,9 +25,8 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Identical mapping to the blocking server's: which HTTP status a
-/// MessageReader rejection earns (431 oversized head, 413 oversized body,
-/// 400 anything else).
+/// Which HTTP status a MessageReader rejection earns (431 oversized head,
+/// 413 oversized body, 400 anything else).
 int StatusToHttpParseError(const Status& status,
                            const http::MessageReader& reader) {
   if (status.code() == StatusCode::kResourceExhausted) {
@@ -56,10 +55,6 @@ EventLoop::~EventLoop() {
   if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
   if (wake_write_fd_ >= 0) ::close(wake_write_fd_);
   if (!started_ && options_.listen_fd >= 0) ::close(options_.listen_fd);
-}
-
-void EventLoop::AddPeriodicTask(int interval_ms, std::function<void()> fn) {
-  periodic_.push_back({interval_ms, std::move(fn)});
 }
 
 Status EventLoop::Start() {
@@ -92,12 +87,6 @@ Status EventLoop::Start() {
     return added;
   }
   listener_active_ = true;
-
-  const auto now = Clock::now();
-  for (std::size_t i = 0; i < periodic_.size(); ++i) {
-    timers_.push({now + std::chrono::milliseconds(periodic_[i].interval_ms),
-                  -1, i, Timer::kPeriodic});
-  }
 
   int workers = options_.num_workers;
   if (workers <= 0) {
@@ -234,10 +223,10 @@ void EventLoop::AcceptBatch() {
       if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) continue;
       if (stop_requested_.load(std::memory_order_acquire)) return;
       // fd exhaustion (EMFILE/ENFILE), kernel memory pressure, or an
-      // unanticipated errno: same backoff as the blocking accept loop,
-      // except "sleep one tick" becomes "deregister the listener and
-      // re-arm it one tick later" so the level-triggered poller doesn't
-      // spin on a listener nobody can drain.
+      // unanticipated errno must not stop the server: existing connections
+      // will finish and free resources. Deregister the listener and re-arm
+      // it one tick later, so the level-triggered poller doesn't spin on a
+      // listener nobody can drain.
       const int saved_errno = errno;
       counters_.accept_retries.fetch_add(1, std::memory_order_relaxed);
       obs::LogWarn("accept_retry")
@@ -260,8 +249,8 @@ void EventLoop::AcceptBatch() {
     counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
     if (options_.max_pending != 0 && fresh_pending_ >= options_.max_pending) {
       // Every slot is taken by a connection still waiting for its first
-      // dispatch: shed now so the client learns immediately, exactly when
-      // the blocking server's handoff queue would overflow.
+      // dispatch: shed now so the client learns immediately instead of
+      // timing out behind work we can't drain.
       Shed(fd, "queue_full", 0.0);
       ::close(fd);
       continue;
@@ -334,7 +323,7 @@ void EventLoop::ReadConn(Conn& conn) {
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-    CloseConn(conn);  // transport error; silent close, like the blocking path
+    CloseConn(conn);  // transport error; silent close
     return;
   }
 }
@@ -439,7 +428,7 @@ EventLoop::FlushResult EventLoop::FlushAndAdvance(Conn& conn) {
       SetInterest(conn, conn.read_enabled, /*write=*/true);
       return FlushResult::kBlocked;
     }
-    CloseConn(conn);  // peer gone mid-response; blocking SendAll fails too
+    CloseConn(conn);  // peer gone mid-response
     return FlushResult::kClosed;
   }
   conn.out.clear();
@@ -563,14 +552,6 @@ void EventLoop::FireTimers(Clock::time_point now) {
         }
         break;
       }
-      case Timer::kPeriodic: {
-        if (stop_begun_) break;  // no new ticks once draining
-        const PeriodicTask& task = periodic_[timer.gen];
-        task.fn();
-        timers_.push({now + std::chrono::milliseconds(task.interval_ms), -1,
-                      timer.gen, Timer::kPeriodic});
-        break;
-      }
     }
   }
 }
@@ -578,9 +559,11 @@ void EventLoop::FireTimers(Clock::time_point now) {
 int EventLoop::NextTimeoutMs(Clock::time_point now) const {
   int timeout = options_.poll_interval_ms;
   if (!timers_.empty()) {
-    const auto until = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           timers_.top().when - now)
-                           .count();
+    // Round up: a deadline 0.9 ms away must sleep 1 ms, not poll(0) in a
+    // busy loop until the deadline arrives.
+    const auto until =
+        std::chrono::ceil<std::chrono::milliseconds>(timers_.top().when - now)
+            .count();
     if (until < timeout) timeout = until < 0 ? 0 : static_cast<int>(until);
   }
   return timeout;

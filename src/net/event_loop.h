@@ -29,8 +29,7 @@ class Histogram;
 namespace net {
 
 /// Everything the readiness loop needs, fixed at Start(). The option names
-/// mirror http::ServerOptions — HttpServer maps one onto the other when
-/// io_model is epoll — so both io models read from a single knob set.
+/// mirror http::ServerOptions, which HttpServer maps onto this struct.
 struct EventLoopOptions {
   /// Listening socket, already bound + listening + nonblocking. The loop
   /// takes ownership and closes it during shutdown.
@@ -48,16 +47,14 @@ struct EventLoopOptions {
   int idle_timeout_ms = 30000;
   int poll_interval_ms = 50;
 
-  /// Overload protection, same semantics as the blocking server's handoff
-  /// queue: connections whose first request has not yet been dispatched
-  /// count as "pending"; at `max_pending` of them, new accepts are shed
-  /// with the canned 503. 0 = unbounded.
+  /// Overload protection: connections whose first request has not yet
+  /// been dispatched count as "pending"; at `max_pending` of them, new
+  /// accepts are shed with the canned 503. 0 = unbounded.
   std::size_t max_pending = 256;
 
   /// A connection whose *first* request dispatches later than this after
   /// accept is shed as stale (its client has likely given up). Measured
-  /// accept -> first dispatch, exactly like the blocking handoff queue's
-  /// enqueue -> worker pickup. 0 disables.
+  /// accept -> first dispatch. 0 disables.
   int max_queue_wait_ms = 0;
 
   int retry_after_seconds = 1;
@@ -79,9 +76,8 @@ struct EventLoopOptions {
   obs::Histogram* iteration_histogram = nullptr;
 };
 
-/// Counters the loop maintains; HttpServer::stats() snapshots them. The
-/// first five match ServerStats field-for-field; the last two are new
-/// gauges only an event-driven server can report meaningfully.
+/// Counters the loop maintains; HttpServer::stats() snapshots them into
+/// ServerStats field-for-field.
 struct EventLoopCounters {
   std::atomic<std::uint64_t> connections_accepted{0};
   std::atomic<std::uint64_t> requests_handled{0};
@@ -92,11 +88,9 @@ struct EventLoopCounters {
   std::atomic<std::uint64_t> write_buffer_bytes{0};
 };
 
-/// An epoll (poll fallback) readiness loop serving HTTP/1.1 with the exact
-/// observable semantics of the blocking HttpServer — same responses byte
-/// for byte, same counters, same shed/timeout/graceful-stop behaviour —
-/// but with the keep-alive concurrency ceiling lifted from ~num_threads to
-/// tens of thousands of connections.
+/// An epoll (poll fallback) readiness loop serving HTTP/1.1: the transport
+/// behind HttpServer. Keep-alive connections cost a socket and a small
+/// state machine, not a thread, so tens of thousands can stay open.
 ///
 /// Threading model: ONE loop thread owns every socket and all connection
 /// state (no locks on the hot path); `num_workers` dispatch threads run
@@ -106,9 +100,11 @@ struct EventLoopCounters {
 /// handler applies backpressure instead of unbounded buffering; writes
 /// that overrun the socket buffer park the connection on EPOLLOUT.
 ///
-/// Deadlines (idle/408 timeouts, listener backoff re-arm, periodic tasks)
-/// live in a lazy min-heap keyed by {fd, generation}: entries are never
-/// removed eagerly, just revalidated when they pop.
+/// Deadlines (idle/408 timeouts, listener backoff re-arm) live in a lazy
+/// min-heap keyed by {fd, generation}: entries are never removed eagerly,
+/// just revalidated when they pop. The loop thread does no work of its own
+/// beyond socket I/O; slow housekeeping (the session reaper) belongs on
+/// its owner's thread.
 class EventLoop {
  public:
   explicit EventLoop(EventLoopOptions options);
@@ -124,10 +120,6 @@ class EventLoop {
   /// requests finish and their responses flush, then join every thread.
   /// Idempotent and safe from any thread; blocks until fully joined.
   void Stop();
-
-  /// Registers `fn` to run on the loop thread every `interval_ms` (the
-  /// session reaper tick rides here). Must be called before Start().
-  void AddPeriodicTask(int interval_ms, std::function<void()> fn);
 
   const EventLoopCounters& counters() const { return counters_; }
 
@@ -151,8 +143,7 @@ class EventLoop {
     std::chrono::steady_clock::time_point accepted_at;
     /// Wall-clock deadline for assembling the *current* request — armed at
     /// accept and re-armed after each flushed response, never extended by
-    /// partial bytes (slowloris guard, identical to the blocking server's
-    /// per-request idle budget).
+    /// partial bytes (slowloris guard: a per-request idle budget).
     std::chrono::steady_clock::time_point idle_deadline;
     bool idle_armed = true;
 
@@ -163,7 +154,7 @@ class EventLoop {
     int fd;
     std::uint64_t gen;
     http::Request request;
-    bool keep_alive;  // decided at dispatch, like the blocking server
+    bool keep_alive;  // decided at dispatch
   };
 
   struct Completion {
@@ -175,9 +166,9 @@ class EventLoop {
 
   struct Timer {
     std::chrono::steady_clock::time_point when;
-    int fd;             // -1 for listener/periodic timers
-    std::uint64_t gen;  // periodic task index for kPeriodic
-    enum Kind { kIdle, kListenerResume, kPeriodic } kind;
+    int fd;             // -1 for the listener timer
+    std::uint64_t gen;  // connection generation for kIdle
+    enum Kind { kIdle, kListenerResume } kind;
     bool operator>(const Timer& o) const { return when > o.when; }
   };
 
@@ -194,10 +185,10 @@ class EventLoop {
   void ReadConn(Conn& conn);
   void DispatchNext(Conn& conn);
   /// Appends the canned protocol-error response, bumps the counter, and
-  /// closes once flushed — the nonblocking SendProtocolError.
+  /// closes once flushed.
   void ProtocolError(Conn& conn, int status, const std::string& detail);
-  /// 503 + Retry-After + close for a connection that never reached a
-  /// dispatch; mirrors HttpServer::ShedConnection including the log event.
+  /// 503 + Retry-After for a connection that never reached a dispatch,
+  /// logged as a structured `connection_shed` event; the caller closes.
   void Shed(int fd, const char* reason, double waited_seconds);
   /// Writes as much pending output as the socket accepts, then advances
   /// the state machine (close / wait for writability / next request).
@@ -228,12 +219,6 @@ class EventLoop {
   std::uint64_t next_gen_ = 0;
   std::size_t fresh_pending_ = 0;
   std::priority_queue<Timer, std::vector<Timer>, std::greater<Timer>> timers_;
-
-  struct PeriodicTask {
-    int interval_ms;
-    std::function<void()> fn;
-  };
-  std::vector<PeriodicTask> periodic_;  // fixed before Start()
 
   std::mutex dispatch_mu_;
   std::condition_variable dispatch_cv_;

@@ -12,7 +12,7 @@ namespace net {
 /// One readiness report from Poller::Wait. Error/hang-up conditions are
 /// folded into both flags so whichever half of the connection state machine
 /// is active (reading or flushing) observes the failure on its next
-/// syscall — exactly how the blocking server learns about dead peers.
+/// syscall, as a dead peer surfaces as a recv/send error there.
 struct PollerEvent {
   int fd = -1;
   bool readable = false;

@@ -189,16 +189,7 @@ CoverageServer::CoverageServer(CoverageService service,
   }
   http_.set_loop_latency_histogram(metrics_->GetHistogram(
       "coverage_net_loop_iteration_seconds",
-      "Event-loop iteration latency, wake to sleep (epoll io model only)"));
-  if (http_.io_model() == http::IoModel::kEpoll) {
-    // Under the event loop the reaper tick rides the loop's deadline wheel
-    // instead of a dedicated thread (Start() skips spawning one). The sweep
-    // holds sessions_mu_ briefly and checkpoints expiring durable sessions,
-    // so a pathological interval + fsync storm would stall serving — the
-    // default 1s tick with idle-TTL churn is nowhere near that.
-    http_.AddPeriodicTask(options_.reaper_interval_ms,
-                          [this] { ReapIdleSessions(); });
-  }
+      "Event-loop iteration latency, wake to sleep"));
   // Fixed route-key set: Dispatch only ever looks up, so the record path
   // never mutates the map and stays lock-free.
   static const char* const kRouteKeys[] = {
@@ -289,14 +280,12 @@ void CoverageServer::RegisterMetrics() {
       [this] { return static_cast<double>(http_.stats().accept_retries); });
   metrics_->RegisterCallback(
       "coverage_net_open_connections",
-      "Established sockets owned by the event loop (0 under the blocking "
-      "io model)",
+      "Established sockets owned by the event loop",
       MetricType::kGauge, {},
       [this] { return static_cast<double>(http_.stats().open_connections); });
   metrics_->RegisterCallback(
       "coverage_net_write_buffer_bytes",
-      "Response bytes buffered awaiting socket writability (0 under the "
-      "blocking io model)",
+      "Response bytes buffered awaiting socket writability",
       MetricType::kGauge, {}, [this] {
         return static_cast<double>(http_.stats().write_buffer_bytes);
       });
@@ -409,25 +398,24 @@ Status CoverageServer::Start() {
   // before the crash must find it live on their first retry.
   COVERAGE_RETURN_IF_ERROR(RecoverSessions());
   COVERAGE_RETURN_IF_ERROR(http_.Start());
-  // Epoll mode reaps on the loop's deadline wheel (registered at
-  // construction); blocking mode keeps its dedicated timer thread.
-  if (http_.io_model() != http::IoModel::kEpoll) {
-    {
-      std::lock_guard<std::mutex> lock(reaper_mu_);
-      reaper_stop_ = false;
-    }
-    reaper_thread_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(reaper_mu_);
-      while (!reaper_stop_) {
-        reaper_cv_.wait_for(
-            lock, std::chrono::milliseconds(options_.reaper_interval_ms));
-        if (reaper_stop_) break;
-        lock.unlock();
-        ReapIdleSessions();
-        lock.lock();
-      }
-    });
+  // The reaper gets its own thread, never the event loop's: reaping a
+  // durable session checkpoints it (snapshot, fsync, WAL rotation), which
+  // would stall every connection if it ran on the I/O thread.
+  {
+    std::lock_guard<std::mutex> lock(reaper_mu_);
+    reaper_stop_ = false;
   }
+  reaper_thread_ = std::thread([this] {
+    std::unique_lock<std::mutex> lock(reaper_mu_);
+    while (!reaper_stop_) {
+      reaper_cv_.wait_for(
+          lock, std::chrono::milliseconds(options_.reaper_interval_ms));
+      if (reaper_stop_) break;
+      lock.unlock();
+      ReapIdleSessions();
+      lock.lock();
+    }
+  });
   return Status::OK();
 }
 
@@ -741,8 +729,7 @@ Response CoverageServer::HandleStats() const {
   server["protocol_errors"] = hs.protocol_errors;
   server["connections_shed"] = hs.connections_shed;
   server["accept_retries"] = hs.accept_retries;
-  server["io_model"] =
-      http_.io_model() == http::IoModel::kEpoll ? "epoll" : "blocking";
+  server["io_model"] = "epoll";
   server["open_connections"] = hs.open_connections;
   server["write_buffer_bytes"] = hs.write_buffer_bytes;
 

@@ -139,8 +139,6 @@ class CoverageServer {
 
   int port() const { return http_.port(); }
   bool running() const { return http_.running(); }
-  /// The serving engine actually in use (env-resolved at construction).
-  http::IoModel io_model() const { return http_.io_model(); }
   /// Transport counters of the underlying HTTP server (benchmarks poll the
   /// open_connections gauge while building up load).
   http::ServerStats http_stats() const { return http_.stats(); }

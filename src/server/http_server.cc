@@ -1,25 +1,20 @@
 #include "server/http_server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <fcntl.h>
-
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
-#include <thread>
+#include <string>
+#include <utility>
 
-#include "common/thread_pool.h"
 #include "net/event_loop.h"
-#include "obs/log.h"
 
 namespace coverage {
 namespace http {
@@ -28,58 +23,13 @@ namespace {
 
 /// The one server wired to SIGINT/SIGTERM, and the flag its handler sets.
 /// Signal handlers may only touch lock-free atomics, so the handler records
-/// the request and the accept loop (which polls anyway) acts on it.
+/// the request and Wait() (which polls anyway) acts on it.
 std::atomic<HttpServer*> g_signal_server{nullptr};
 volatile std::sig_atomic_t g_signal_stop = 0;
 
 void OnStopSignal(int) { g_signal_stop = 1; }
 
-/// send(2) the whole buffer, riding out partial writes and EINTR.
-bool SendAll(int fd, const std::string& data) {
-  std::size_t sent = 0;
-  while (sent < data.size()) {
-#ifdef MSG_NOSIGNAL
-    const ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-#else
-    const ssize_t n = ::send(fd, data.data() + sent, data.size() - sent, 0);
-#endif
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-/// Best-effort error reply for protocol violations; the connection closes
-/// right after, so failures to send are ignored.
-void SendProtocolError(int fd, int status, const std::string& detail) {
-  Response r = Response::Text(status, detail + "\n");
-  SendAll(fd, SerializeResponse(r, /*keep_alive=*/false));
-}
-
-int StatusToHttpParseError(const Status& status,
-                           const MessageReader& reader) {
-  if (status.code() == StatusCode::kResourceExhausted) {
-    return reader.limit_violation() == MessageReader::LimitViolation::kHead
-               ? 431
-               : 413;
-  }
-  return 400;
-}
-
 }  // namespace
-
-IoModel ResolveIoModel(IoModel io_model) {
-  if (io_model != IoModel::kDefault) return io_model;
-  const char* env = std::getenv("COVERAGE_IO_MODEL");
-  if (env != nullptr && std::strcmp(env, "epoll") == 0) {
-    return IoModel::kEpoll;
-  }
-  return IoModel::kBlocking;
-}
 
 Status ServerOptions::Validate() const {
   if (port < 0 || port > 65535) {
@@ -106,13 +56,7 @@ Status ServerOptions::Validate() const {
 }
 
 HttpServer::HttpServer(ServerOptions options, Handler handler)
-    : options_(options),
-      handler_(std::move(handler)),
-      io_model_(ResolveIoModel(options.io_model)) {}
-
-void HttpServer::AddPeriodicTask(int interval_ms, std::function<void()> fn) {
-  periodic_tasks_.emplace_back(interval_ms, std::move(fn));
-}
+    : options_(std::move(options)), handler_(std::move(handler)) {}
 
 HttpServer::~HttpServer() {
   Stop();
@@ -156,353 +100,60 @@ Status HttpServer::Start() {
       0) {
     port_ = static_cast<int>(ntohs(addr.sin_port));
   }
-  listen_fd_.store(listen_fd, std::memory_order_release);
+  const int flags = ::fcntl(listen_fd, F_GETFL, 0);
+  if (flags >= 0) ::fcntl(listen_fd, F_SETFL, flags | O_NONBLOCK);
 
-  {
-    Response shed = Response::Text(
-        503, "server overloaded, retry shortly\n");
-    shed.headers.push_back(
-        {"Retry-After", std::to_string(options_.retry_after_seconds)});
-    shed_response_ = SerializeResponse(shed, /*keep_alive=*/false);
+  Response shed = Response::Text(503, "server overloaded, retry shortly\n");
+  shed.headers.push_back(
+      {"Retry-After", std::to_string(options_.retry_after_seconds)});
+
+  net::EventLoopOptions loop_options;
+  loop_options.listen_fd = listen_fd;
+  loop_options.handler = handler_;
+  loop_options.limits.max_head_bytes = options_.max_head_bytes;
+  loop_options.limits.max_body_bytes = options_.max_body_bytes;
+  loop_options.num_workers = options_.num_threads;
+  loop_options.idle_timeout_ms = options_.idle_timeout_ms;
+  loop_options.poll_interval_ms = options_.poll_interval_ms;
+  loop_options.max_pending = options_.max_pending;
+  loop_options.max_queue_wait_ms = options_.max_queue_wait_ms;
+  loop_options.retry_after_seconds = options_.retry_after_seconds;
+  loop_options.accept_fn = options_.accept_fn;
+  loop_options.shed_response = SerializeResponse(shed, /*keep_alive=*/false);
+  loop_options.iteration_histogram = options_.loop_latency_histogram;
+  loop_ = std::make_unique<net::EventLoop>(std::move(loop_options));
+  const Status started = loop_->Start();
+  if (!started.ok()) {
+    // The loop owns (and on failure, its destructor closes) listen_fd.
+    loop_.reset();
+    return started;
   }
-
-  if (io_model_ == IoModel::kEpoll) {
-    const int flags = ::fcntl(listen_fd, F_GETFL, 0);
-    if (flags >= 0) ::fcntl(listen_fd, F_SETFL, flags | O_NONBLOCK);
-    net::EventLoopOptions loop_options;
-    loop_options.listen_fd = listen_fd;
-    loop_options.handler = handler_;
-    loop_options.limits.max_head_bytes = options_.max_head_bytes;
-    loop_options.limits.max_body_bytes = options_.max_body_bytes;
-    loop_options.num_workers = options_.num_threads;
-    loop_options.idle_timeout_ms = options_.idle_timeout_ms;
-    loop_options.poll_interval_ms = options_.poll_interval_ms;
-    loop_options.max_pending = options_.max_pending;
-    loop_options.max_queue_wait_ms = options_.max_queue_wait_ms;
-    loop_options.retry_after_seconds = options_.retry_after_seconds;
-    loop_options.accept_fn = options_.accept_fn;
-    loop_options.shed_response = shed_response_;
-    loop_options.iteration_histogram = options_.loop_latency_histogram;
-    loop_ = std::make_unique<net::EventLoop>(std::move(loop_options));
-    for (auto& [interval_ms, fn] : periodic_tasks_) {
-      loop_->AddPeriodicTask(interval_ms, fn);
-    }
-    const Status started = loop_->Start();
-    if (!started.ok()) {
-      // The loop owns (and on failure, its destructor closes) listen_fd.
-      loop_.reset();
-      listen_fd_.store(-1, std::memory_order_release);
-      return started;
-    }
-    stopping_.store(false, std::memory_order_release);
-    running_.store(true, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threads_joined_ = false;
-    }
-    return Status::OK();
-  }
-
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(mu_);
     threads_joined_ = false;
   }
-
-  pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  // RunOnAll blocks its caller as worker 0, so a driver thread donates
-  // itself: all options_.num_threads workers run WorkerLoop concurrently.
-  pool_driver_ = std::thread([this] {
-    pool_->RunOnAll([this](int) { WorkerLoop(); });
-  });
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::OK();
-}
-
-void HttpServer::AcceptLoop() {
-  pollfd pfd{};
-  pfd.events = POLLIN;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    if (g_signal_stop != 0 &&
-        g_signal_server.load(std::memory_order_acquire) == this) {
-      // ^C: stop accepting. Wait() (which polls the same flag) runs the
-      // graceful Stop() — it cannot run here, as Stop() joins this thread.
-      break;
-    }
-    const int listen_fd = listen_fd_.load(std::memory_order_acquire);
-    if (listen_fd < 0) break;  // Stop() retired the listener
-    pfd.fd = listen_fd;
-    const int ready = ::poll(&pfd, 1, options_.poll_interval_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (ready == 0) continue;
-    const int fd = options_.accept_fn ? options_.accept_fn(listen_fd)
-                                      : ::accept(listen_fd, nullptr, nullptr);
-    if (fd < 0) {
-      // The connection died between poll and accept: nothing wrong with us.
-      if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO ||
-          errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;
-      }
-      // Stop() retired the listener out from under the accept call.
-      if (listen_fd_.load(std::memory_order_acquire) < 0) break;
-      // Anything else — fd exhaustion (EMFILE/ENFILE), transient kernel
-      // memory pressure (ENOBUFS/ENOMEM), or an errno this code never
-      // anticipated — must NOT kill the accept thread: existing
-      // connections will finish and free resources, so back off one tick
-      // and keep serving. A dead accept loop turns a burst into an outage.
-      const int saved_errno = errno;
-      accept_retries_.fetch_add(1, std::memory_order_relaxed);
-      obs::LogWarn("accept_retry")
-          .Str("error", std::strerror(saved_errno))
-          .Int("errno", saved_errno)
-          .Int("backoff_ms", options_.poll_interval_ms)
-          .Uint("accept_retries",
-                accept_retries_.load(std::memory_order_relaxed));
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(options_.poll_interval_ms));
-      continue;
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    bool queued = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (options_.max_pending == 0 ||
-          pending_.size() < options_.max_pending) {
-        pending_.push_back({fd, std::chrono::steady_clock::now()});
-        queued = true;
-      }
-    }
-    if (!queued) {
-      // Handoff queue full: every worker is busy and a backlog is already
-      // waiting. Shed now, from the accept thread, so the client learns
-      // immediately instead of timing out in a queue we can't drain.
-      ShedConnection(fd, "queue_full", 0.0);
-      continue;
-    }
-    queue_cv_.notify_one();
-  }
-}
-
-void HttpServer::ShedConnection(int fd, const char* reason,
-                                double waited_seconds) {
-  connections_shed_.fetch_add(1, std::memory_order_relaxed);
-  std::size_t queue_depth = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_depth = pending_.size();
-  }
-  obs::LogWarn("connection_shed")
-      .Str("reason", reason)
-      .Uint("queue_depth", queue_depth)
-      .Uint("max_pending", options_.max_pending)
-      .Int("retry_after_seconds", options_.retry_after_seconds)
-      .Double("waited_seconds", waited_seconds)
-      .Uint("connections_shed",
-            connections_shed_.load(std::memory_order_relaxed));
-  SendAll(fd, shed_response_);
-  ::close(fd);
-}
-
-void HttpServer::WorkerLoop() {
-  for (;;) {
-    int fd = -1;
-    std::chrono::steady_clock::time_point enqueued;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait(lock, [&] {
-        return stopping_.load(std::memory_order_acquire) || !pending_.empty();
-      });
-      if (!pending_.empty()) {
-        fd = pending_.front().fd;
-        enqueued = pending_.front().enqueued;
-        pending_.pop_front();
-      } else if (stopping_.load(std::memory_order_acquire)) {
-        return;
-      }
-    }
-    if (fd < 0) continue;
-    if (stopping_.load(std::memory_order_acquire)) {
-      // Accepted but never served: close without a response (the client
-      // sees a clean connection close, the normal "server going away").
-      ::close(fd);
-      continue;
-    }
-    const double waited_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      enqueued)
-            .count();
-    if (options_.max_queue_wait_ms > 0 &&
-        waited_seconds * 1e3 >
-            static_cast<double>(options_.max_queue_wait_ms)) {
-      // The connection outwaited its deadline in the handoff queue; its
-      // client has likely given up, so tell it to retry rather than spend
-      // a worker on a stale request.
-      ShedConnection(fd, "stale", waited_seconds);
-      continue;
-    }
-    HandleConnection(fd);
-  }
-}
-
-int HttpServer::WaitReadable(int fd, int* idle_budget_ms) const {
-  while (*idle_budget_ms > 0) {
-    if (stopping_.load(std::memory_order_acquire)) return 0;
-    pollfd pfd{};
-    pfd.fd = fd;
-    pfd.events = POLLIN;
-    const int wait_ms = options_.poll_interval_ms < *idle_budget_ms
-                            ? options_.poll_interval_ms
-                            : *idle_budget_ms;
-    const int ready = ::poll(&pfd, 1, wait_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return -1;
-    }
-    if (ready > 0) return 1;
-    *idle_budget_ms -= wait_ms;
-  }
-  return -1;  // idle timeout
-}
-
-void HttpServer::HandleConnection(int fd) {
-  MessageReader::Limits limits;
-  limits.max_head_bytes = options_.max_head_bytes;
-  limits.max_body_bytes = options_.max_body_bytes;
-  MessageReader reader(limits);
-
-  char buf[16384];
-  bool keep_alive = true;
-  while (keep_alive) {
-    int idle_budget_ms = options_.idle_timeout_ms;
-    // Read until one full request is buffered (or the connection dies).
-    while (!reader.HasMessage()) {
-      const int readable = WaitReadable(fd, &idle_budget_ms);
-      if (readable == 0) {
-        // Server stopping. Mid-request bytes are abandoned (the client
-        // never got a response promise); between requests this is the
-        // clean close point of a keep-alive connection.
-        keep_alive = false;
-        break;
-      }
-      if (readable < 0) {
-        if (!reader.Empty()) {
-          SendProtocolError(fd, 408, "request timed out");
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        }
-        keep_alive = false;
-        break;
-      }
-      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-      if (n == 0) {  // peer closed
-        if (!reader.Empty()) {
-          protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        }
-        keep_alive = false;
-        break;
-      }
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        keep_alive = false;
-        break;
-      }
-      const Status fed = reader.Feed(buf, static_cast<std::size_t>(n));
-      if (!fed.ok()) {
-        SendProtocolError(fd, StatusToHttpParseError(fed, reader),
-                          fed.message());
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        keep_alive = false;
-        break;
-      }
-    }
-    if (!keep_alive && !reader.HasMessage()) break;
-
-    // Serve every fully buffered request (pipelining) before reading more.
-    while (reader.HasMessage()) {
-      auto request = reader.TakeRequest();
-      if (!request.ok()) {
-        SendProtocolError(fd, 400, request.status().message());
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        keep_alive = false;
-        break;
-      }
-      keep_alive = keep_alive && request->KeepAlive() &&
-                   !stopping_.load(std::memory_order_acquire);
-      const Response response = handler_(*request);
-      requests_handled_.fetch_add(1, std::memory_order_relaxed);
-      if (!SendAll(fd, SerializeResponse(response, keep_alive))) {
-        keep_alive = false;
-        break;
-      }
-      // Once a response promised Connection: close, no further pipelined
-      // request may be processed (RFC 9112 §9.6).
-      if (!keep_alive) break;
-      // Surface the next pipelined request if it is already buffered.
-      const Status pumped = reader.Pump();
-      if (!pumped.ok()) {
-        SendProtocolError(fd, StatusToHttpParseError(pumped, reader),
-                          pumped.message());
-        protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        keep_alive = false;
-        break;
-      }
-    }
-  }
-  ::close(fd);
 }
 
 void HttpServer::Stop() {
   bool expected = false;
-  const bool i_stop = stopping_.compare_exchange_strong(
-      expected, true, std::memory_order_acq_rel);
-  if (i_stop && loop_ != nullptr) {
-    // Epoll mode: the loop owns listener + connections and drains them
-    // gracefully (in-flight requests finish, responses flush) before its
-    // threads join inside Stop().
-    loop_->Stop();
-    listen_fd_.store(-1, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      threads_joined_ = true;
-    }
-    running_.store(false, std::memory_order_release);
-    stopped_cv_.notify_all();
+  if (!stopping_.compare_exchange_strong(expected, true,
+                                         std::memory_order_acq_rel)) {
+    Wait();
     return;
   }
-  if (i_stop) {
-    // Closing the listener wakes the accept loop's poll immediately.
-    const int listen_fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
-    if (listen_fd >= 0) {
-      ::shutdown(listen_fd, SHUT_RDWR);
-      ::close(listen_fd);
-    }
-    {
-      // Serialise with WorkerLoop's predicate check: a worker that read
-      // stopping_ == false under mu_ must reach its wait before this
-      // notify, or it would sleep through shutdown (lost wakeup).
-      std::lock_guard<std::mutex> lock(mu_);
-    }
-    queue_cv_.notify_all();
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (pool_driver_.joinable()) pool_driver_.join();
-    pool_.reset();
-    // Workers have exited; anything still queued gets a clean close.
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (const PendingConn& conn : pending_) ::close(conn.fd);
-      pending_.clear();
-      threads_joined_ = true;
-    }
-    running_.store(false, std::memory_order_release);
-    stopped_cv_.notify_all();
-  } else {
-    Wait();
+  // The loop owns the listener and every connection and drains them
+  // gracefully (in-flight requests finish, responses flush) before its
+  // threads join inside Stop().
+  if (loop_ != nullptr) loop_->Stop();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_joined_ = true;
   }
+  running_.store(false, std::memory_order_release);
+  stopped_cv_.notify_all();
 }
 
 void HttpServer::Wait() {
@@ -539,25 +190,16 @@ void HttpServer::StopOnSignal() {
 
 ServerStats HttpServer::stats() const {
   ServerStats s;
-  if (loop_ != nullptr) {
-    const net::EventLoopCounters& c = loop_->counters();
-    s.connections_accepted =
-        c.connections_accepted.load(std::memory_order_relaxed);
-    s.requests_handled = c.requests_handled.load(std::memory_order_relaxed);
-    s.protocol_errors = c.protocol_errors.load(std::memory_order_relaxed);
-    s.connections_shed = c.connections_shed.load(std::memory_order_relaxed);
-    s.accept_retries = c.accept_retries.load(std::memory_order_relaxed);
-    s.open_connections = c.open_connections.load(std::memory_order_relaxed);
-    s.write_buffer_bytes =
-        c.write_buffer_bytes.load(std::memory_order_relaxed);
-    return s;
-  }
+  if (loop_ == nullptr) return s;
+  const net::EventLoopCounters& c = loop_->counters();
   s.connections_accepted =
-      connections_accepted_.load(std::memory_order_relaxed);
-  s.requests_handled = requests_handled_.load(std::memory_order_relaxed);
-  s.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
-  s.connections_shed = connections_shed_.load(std::memory_order_relaxed);
-  s.accept_retries = accept_retries_.load(std::memory_order_relaxed);
+      c.connections_accepted.load(std::memory_order_relaxed);
+  s.requests_handled = c.requests_handled.load(std::memory_order_relaxed);
+  s.protocol_errors = c.protocol_errors.load(std::memory_order_relaxed);
+  s.connections_shed = c.connections_shed.load(std::memory_order_relaxed);
+  s.accept_retries = c.accept_retries.load(std::memory_order_relaxed);
+  s.open_connections = c.open_connections.load(std::memory_order_relaxed);
+  s.write_buffer_bytes = c.write_buffer_bytes.load(std::memory_order_relaxed);
   return s;
 }
 

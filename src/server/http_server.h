@@ -2,25 +2,17 @@
 #define COVERAGE_SERVER_HTTP_SERVER_H_
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/status.h"
 #include "server/http.h"
 
 namespace coverage {
-
-class ThreadPool;
 
 namespace net {
 class EventLoop;
@@ -32,63 +24,45 @@ class Histogram;
 
 namespace http {
 
-/// Which serving engine runs behind HttpServer. Both models speak the same
-/// HTTP, emit byte-identical responses, and share every ServerOptions knob;
-/// they differ only in how connections map to threads.
-enum class IoModel {
-  /// Resolve from the COVERAGE_IO_MODEL environment variable ("blocking" /
-  /// "epoll"); kBlocking when unset. This default lets every existing test
-  /// binary run under the event loop without a single code change — the
-  /// ctest matrix registers *_epoll variants that just set the variable.
-  kDefault,
-  /// One blocking connection per worker thread (the original PR 5 model).
-  kBlocking,
-  /// One epoll/poll readiness loop owning all sockets, workers used only
-  /// for request dispatch (src/net/EventLoop).
-  kEpoll,
-};
-
-/// `io_model` with kDefault resolved against COVERAGE_IO_MODEL.
-IoModel ResolveIoModel(IoModel io_model);
-
 /// Knobs of the embedded server. Everything is fixed at Start().
 struct ServerOptions {
   /// TCP port; 0 binds an ephemeral port (read it back via port() — the
   /// pattern every loopback test uses).
   int port = 0;
 
-  /// Connection-handler workers. 0 clamps to hardware_concurrency() (the
-  /// ThreadPool contract). Each worker owns one connection at a time and
-  /// serves its keep-alive request sequence to completion.
+  /// Dispatch workers that run the request handler. All socket I/O stays
+  /// on the one event-loop thread, so this bounds concurrent requests, not
+  /// open connections. 0 clamps to hardware_concurrency() (the ThreadPool
+  /// contract).
   int num_threads = 4;
 
   /// Hard bounds enforced while buffering, before any parsing work.
   std::size_t max_body_bytes = 8 * 1024 * 1024;
   std::size_t max_head_bytes = 16 * 1024;
 
-  /// listen(2) backlog: accepted-but-unhandled connections queue here and
-  /// in the internal handoff queue.
+  /// listen(2) backlog: connections the kernel holds until the loop
+  /// accepts them.
   int backlog = 128;
 
-  /// A keep-alive connection with no traffic for this long is closed
-  /// (slowloris guard; also bounds how long a worker can be pinned by a
-  /// silent client).
+  /// Wall-clock budget for assembling each request, re-armed after every
+  /// response: a keep-alive connection silent this long is closed, and one
+  /// that stalls mid-request gets 408 (slowloris guard).
   int idle_timeout_ms = 30000;
 
-  /// How often blocked loops re-check the stop flag; shutdown latency is
-  /// bounded by this.
+  /// Longest the event loop sleeps between iterations, the accept backoff
+  /// after EMFILE and friends, and how often Wait() checks for a stop
+  /// signal.
   int poll_interval_ms = 50;
 
-  /// Overload protection: accepted connections beyond this many waiting in
-  /// the handoff queue are shed immediately with `503 Service Unavailable`
-  /// + `Retry-After` instead of queueing unboundedly behind slow work.
-  /// 0 = unbounded (the pre-hardening behaviour).
+  /// Overload protection: once this many accepted connections still wait
+  /// for their first request to be dispatched, new connections are shed
+  /// immediately with `503 Service Unavailable` + `Retry-After` instead of
+  /// queueing unboundedly behind slow work. 0 = unbounded.
   std::size_t max_pending = 256;
 
-  /// A connection that sat in the handoff queue longer than this is shed
-  /// with 503 when a worker finally picks it up — its client has likely
-  /// given up, and serving it would only delay fresher requests. 0
-  /// disables the deadline.
+  /// A connection whose first request dispatches later than this after
+  /// accept is shed with 503 — its client has likely given up, and serving
+  /// it would only delay fresher requests. 0 disables the deadline.
   int max_queue_wait_ms = 0;
 
   /// Retry-After value (seconds) attached to shed responses.
@@ -98,10 +72,7 @@ struct ServerOptions {
   /// accept(listen_fd, nullptr, nullptr) including errno on failure.
   std::function<int(int)> accept_fn;
 
-  /// Which serving engine to run; kDefault resolves COVERAGE_IO_MODEL.
-  IoModel io_model = IoModel::kDefault;
-
-  /// Epoll mode only: when set, observes seconds per event-loop iteration.
+  /// When set, observes seconds per event-loop iteration.
   obs::Histogram* loop_latency_histogram = nullptr;
 
   Status Validate() const;
@@ -114,17 +85,16 @@ struct ServerStats {
   std::uint64_t protocol_errors = 0;  ///< connections dropped on bad HTTP
   std::uint64_t connections_shed = 0;  ///< 503s from overload protection
   std::uint64_t accept_retries = 0;    ///< transient accept(2) failures
-  /// Epoll mode gauges (0 under the blocking model, which has no central
-  /// place to observe either cheaply).
   std::uint64_t open_connections = 0;   ///< currently established sockets
   std::uint64_t write_buffer_bytes = 0; ///< unflushed response bytes
 };
 
-/// A dependency-free blocking HTTP/1.1 server: one accept thread feeding a
-/// ThreadPool of connection handlers through a small handoff queue.
+/// A dependency-free HTTP/1.1 server: one event-loop thread owns every
+/// socket (src/net/EventLoop) and hands complete requests to a pool of
+/// dispatch workers.
 ///
 ///   HttpServer server(options, [](const Request& r) { ... return resp; });
-///   server.Start();          // binds, spawns accept loop + workers
+///   server.Start();          // binds, spawns the loop + workers
 ///   ...
 ///   server.Stop();           // graceful: drain, close, join
 ///
@@ -136,10 +106,10 @@ struct ServerStats {
 /// networks and loopback).
 ///
 /// Stop() (and therefore the destructor) is graceful: the listener closes
-/// first, in-flight requests finish and get their response, idle keep-alive
-/// connections and the handoff queue are closed, then all threads join.
-/// StopOnSignal() arranges the same for SIGINT/SIGTERM, so ^C on the
-/// coverage_server binary never truncates a response mid-write.
+/// first, idle keep-alive connections close, in-flight requests finish and
+/// their responses flush, then all threads join. StopOnSignal() arranges
+/// the same for SIGINT/SIGTERM via Wait(), so ^C on the coverage_server
+/// binary never truncates a response mid-write.
 class HttpServer {
  public:
   using Handler = std::function<Response(const Request&)>;
@@ -165,15 +135,6 @@ class HttpServer {
   /// Call after Start(); one server per process may use it.
   void StopOnSignal();
 
-  /// The io model this server will actually run (env-resolved). Fixed at
-  /// construction so callers can pick reaper strategies before Start().
-  IoModel io_model() const { return io_model_; }
-
-  /// Registers `fn` to run every `interval_ms` on the event loop's deadline
-  /// wheel (epoll mode only — blocking-mode callers keep their own timer
-  /// thread). Must be called before Start().
-  void AddPeriodicTask(int interval_ms, std::function<void()> fn);
-
   /// Late injection of ServerOptions::loop_latency_histogram, for owners
   /// whose metrics registry outlives option construction (CoverageServer).
   /// Must be called before Start().
@@ -189,61 +150,20 @@ class HttpServer {
   ServerStats stats() const;
 
  private:
-  /// An accepted connection waiting for a worker; the timestamp drives the
-  /// max_queue_wait_ms deadline.
-  struct PendingConn {
-    int fd;
-    std::chrono::steady_clock::time_point enqueued;
-  };
-
-  void AcceptLoop();
-  void WorkerLoop();
-  void HandleConnection(int fd);
-  /// Answers `fd` with the canned 503 + Retry-After and closes it, logging
-  /// a structured `connection_shed` event carrying `reason` ("queue_full"
-  /// from the accept thread, "stale" from a worker), the queue depth at
-  /// shed time, and how long the connection waited (0 for queue_full).
-  void ShedConnection(int fd, const char* reason, double waited_seconds);
-  /// Blocks until `fd` is readable, the server stops, or the idle deadline
-  /// passes. Returns +1 readable, 0 stop/timeout-tick (caller re-checks),
-  /// -1 idle-expired or error.
-  int WaitReadable(int fd, int* idle_budget_ms) const;
-
   ServerOptions options_;
   Handler handler_;
-  IoModel io_model_ = IoModel::kBlocking;  // env-resolved at construction
 
-  /// Epoll mode: the readiness loop owning every socket; null in blocking
-  /// mode and before Start().
+  /// The readiness loop owning the listener and every connection; null
+  /// before Start().
   std::unique_ptr<net::EventLoop> loop_;
-  /// Periodic tasks registered before Start(), handed to the loop.
-  std::vector<std::pair<int, std::function<void()>>> periodic_tasks_;
-
-  /// Written by Start()/Stop(), read by the accept loop: atomic because
-  /// Stop() retires it from another thread to wake the loop.
-  std::atomic<int> listen_fd_{-1};
   int port_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
-  std::thread pool_driver_;  // runs pool_->RunOnAll(WorkerLoop)
-
-  mutable std::mutex mu_;
-  std::condition_variable queue_cv_;
+  std::mutex mu_;
   std::condition_variable stopped_cv_;
-  std::deque<PendingConn> pending_;  // accepted fds awaiting a worker
   bool threads_joined_ = true;
-
-  std::string shed_response_;  // serialized once at Start()
-
-  std::atomic<std::uint64_t> connections_accepted_{0};
-  std::atomic<std::uint64_t> requests_handled_{0};
-  std::atomic<std::uint64_t> protocol_errors_{0};
-  std::atomic<std::uint64_t> connections_shed_{0};
-  std::atomic<std::uint64_t> accept_retries_{0};
 };
 
 }  // namespace http

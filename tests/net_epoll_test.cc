@@ -1,8 +1,7 @@
-// Adversarial clients against the epoll io model (src/net/EventLoop):
+// Adversarial clients against the event loop (src/net/EventLoop):
 // slowloris partial headers, silent idle keep-alives, half-closed sockets,
 // thousands of idle connections held open at once, and a slow reader
-// forcing write backpressure. Every test pins io_model = kEpoll explicitly
-// so the suite exercises the event loop regardless of COVERAGE_IO_MODEL.
+// forcing write backpressure.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -19,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "server/http_client.h"
 #include "server/http_server.h"
 
@@ -33,7 +33,6 @@ namespace {
 
 using http::HttpClient;
 using http::HttpServer;
-using http::IoModel;
 using http::Request;
 using http::Response;
 using http::ServerOptions;
@@ -70,7 +69,6 @@ std::string ReadUntilClose(int fd) {
 std::unique_ptr<HttpServer> StartEpollServer(ServerOptions options,
                                              HttpServer::Handler handler) {
   options.port = 0;
-  options.io_model = IoModel::kEpoll;
   auto server = std::make_unique<HttpServer>(options, std::move(handler));
   EXPECT_TRUE(server->Start().ok());
   return server;
@@ -120,6 +118,28 @@ TEST(NetEpoll, SilentIdleConnectionIsClosedWithoutBytes) {
   const std::string answer = ReadUntilClose(fd);
   ::close(fd);
   EXPECT_TRUE(answer.empty()) << answer;
+  server->Stop();
+}
+
+/// The loop sleeps until an idle deadline instead of spinning up to it. A
+/// poll timeout truncated to whole milliseconds wakes with a fraction of a
+/// millisecond left and then polls with timeout 0 until the deadline
+/// arrives: hundreds of iterations for one timeout.
+TEST(NetEpoll, IdleDeadlineIsReachedWithoutSpinning) {
+  obs::Histogram iterations;
+  ServerOptions options;
+  options.num_threads = 1;
+  options.idle_timeout_ms = 50;
+  options.poll_interval_ms = 10000;  // no periodic wake-ups mid-test
+  options.loop_latency_histogram = &iterations;
+  auto server = StartEpollServer(options, OkHandler());
+
+  const int fd = RawConnect(server->port());
+  const std::string answer = ReadUntilClose(fd);
+  ::close(fd);
+  EXPECT_TRUE(answer.empty()) << answer;
+  // One wake-up to accept and one to close at the deadline, plus slack.
+  EXPECT_LE(iterations.count(), 8u);
   server->Stop();
 }
 

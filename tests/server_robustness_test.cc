@@ -53,10 +53,10 @@ std::string Normalized(const std::string& json_text) {
   return json::Serialize(*parsed);
 }
 
-// ------------------------------------------------ accept-loop hardening --
+// ----------------------------------------------------- accept hardening --
 
 /// An injected transient accept(2) failure (EMFILE: out of fds) must not
-/// kill the accept thread — the server backs off, counts the retry, and
+/// stop accepting — the server backs off, counts the retry, and
 /// keeps serving once the condition clears.
 TEST(HttpServerRobustness, TransientAcceptFailureBacksOffAndKeepsServing) {
   std::atomic<int> failures_left{3};
@@ -114,9 +114,10 @@ void AwaitAtLeast(const std::atomic<int>& counter, int n) {
   ASSERT_GE(counter.load(), n) << "condition never reached";
 }
 
-/// With every worker busy and the handoff queue full, a new connection is
-/// shed immediately with 503 + Retry-After instead of waiting forever —
-/// and once load drains, the server serves normally again.
+/// With every worker busy and max_pending connections already waiting for
+/// their first dispatch, a new connection is shed immediately with 503 +
+/// Retry-After instead of waiting forever — and once load drains, the
+/// server serves normally again.
 TEST(HttpServerRobustness, OverloadShedsWith503AndRetryAfter) {
   Gate gate;
   std::atomic<int> handlers_running{0};
@@ -146,14 +147,14 @@ TEST(HttpServerRobustness, OverloadShedsWith503AndRetryAfter) {
     // B fills the one queue slot (it is admitted, not yet served).
     auto b = HttpClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(b.ok());
-    // Admission happens on the accept thread; give it a moment.
+    // Admission happens on the event-loop thread; give it a moment.
     for (int spin = 0; spin < 200 && server.stats().connections_accepted < 2;
          ++spin) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
 
     // C finds the queue full and is shed with 503 + Retry-After, served
-    // straight from the accept thread — no worker needed, so the rejection
+    // straight from the event loop — no worker needed, so the rejection
     // is immediate even though the server is saturated.
     auto c = HttpClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(c.ok());
@@ -180,8 +181,8 @@ TEST(HttpServerRobustness, OverloadShedsWith503AndRetryAfter) {
   server.Stop();
 }
 
-/// A connection that outlived its queue-wait deadline is shed when a
-/// worker finally reaches it: its client has likely timed out already.
+/// A connection whose first request dispatches after its queue-wait
+/// deadline is shed: its client has likely timed out already.
 TEST(HttpServerRobustness, QueueWaitDeadlineShedsStaleConnections) {
   Gate gate;
   std::atomic<int> handlers_running{0};
@@ -298,6 +299,33 @@ TEST(CoverageServerReaper, IdleTtlReapsOnFakeClockAndActivityResets) {
   const Response gone =
       server.Handle(Post("/v1/sessions/" + mortal + "/audit", ""));
   EXPECT_EQ(gone.status, 404);
+}
+
+/// A started server reaps on its own: the dedicated reaper thread sweeps
+/// every reaper_interval_ms with no manual ReapIdleSessions() call.
+TEST(CoverageServerReaper, StartedServerReapsIdleSessionsOnItsOwn) {
+  std::atomic<int> now_seconds{0};
+  CoverageServerOptions options;
+  options.http.port = 0;
+  options.reaper_interval_ms = 20;
+  options.clock = [&now_seconds] {
+    return std::chrono::steady_clock::time_point{
+        std::chrono::seconds(now_seconds.load())};
+  };
+  CoverageServer server(SmallService(), options);
+  ASSERT_TRUE(server.Start().ok());
+  CreateSession(&server, kTinySchemaSession);
+  ASSERT_EQ(server.num_sessions(), 1u);
+
+  now_seconds.store(61);  // past the session's 60 s idle TTL
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.num_sessions() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(server.num_sessions(), 0u);
+  server.Stop();
 }
 
 class DurableServerTest : public ::testing::Test {

@@ -50,7 +50,6 @@ struct ServerCliOptions {
   std::uint64_t idle_ttl = 0;        // --idle-ttl seconds (0 = never reap)
   std::uint64_t max_pending = 256;   // --max-pending (0 = unbounded)
   std::uint64_t max_queue_wait_ms = 0;  // --max-queue-wait-ms (0 = off)
-  std::string io_model;              // --io-model blocking|epoll ("" = env)
   std::string log_level = "info";    // --log-level debug|info|warn|error|off
   bool log_json = false;             // --log-json (JSON lines on stderr)
   std::uint64_t slow_request_ms = 1000;  // --slow-request-ms (0 = off)
@@ -100,10 +99,6 @@ void Usage(std::ostream& out) {
          "                         256; 0 = unbounded)\n"
          "  --max-queue-wait-ms N  also shed connections that waited longer\n"
          "                         than N ms in that queue (default 0 = off)\n"
-         "  --io-model MODEL       serving engine: blocking (thread per\n"
-         "                         connection) | epoll (one readiness loop,\n"
-         "                         workers dispatch only). Default: the\n"
-         "                         COVERAGE_IO_MODEL env var, else blocking\n"
          "  --log-level LEVEL      structured-log threshold on stderr:\n"
          "                         debug | info | warn | error | off\n"
          "                         (default info)\n"
@@ -200,8 +195,6 @@ int main(int argc, char** argv) {
       next(&cli.max_pending);
     } else if (flag == "--max-queue-wait-ms") {
       next(&cli.max_queue_wait_ms);
-    } else if (flag == "--io-model" && i + 1 < args.size()) {
-      cli.io_model = args[++i];
     } else if (flag == "--log-level" && i + 1 < args.size()) {
       cli.log_level = args[++i];
     } else if (flag == "--log-json") {
@@ -270,14 +263,6 @@ int main(int argc, char** argv) {
     copts.http.max_body_bytes = cli.max_body_bytes;
     copts.http.max_pending = static_cast<std::size_t>(cli.max_pending);
     copts.http.max_queue_wait_ms = static_cast<int>(cli.max_queue_wait_ms);
-    if (cli.io_model == "blocking") {
-      copts.http.io_model = coverage::http::IoModel::kBlocking;
-    } else if (cli.io_model == "epoll") {
-      copts.http.io_model = coverage::http::IoModel::kEpoll;
-    } else if (!cli.io_model.empty()) {
-      std::cerr << "--io-model must be blocking or epoll\n";
-      return 2;
-    }
     std::size_t pos = 0;
     while (pos <= cli.shards.size()) {
       std::size_t comma = cli.shards.find(',', pos);
@@ -380,14 +365,6 @@ int main(int argc, char** argv) {
   options.http.max_body_bytes = cli.max_body_bytes;
   options.http.max_pending = static_cast<std::size_t>(cli.max_pending);
   options.http.max_queue_wait_ms = static_cast<int>(cli.max_queue_wait_ms);
-  if (cli.io_model == "blocking") {
-    options.http.io_model = coverage::http::IoModel::kBlocking;
-  } else if (cli.io_model == "epoll") {
-    options.http.io_model = coverage::http::IoModel::kEpoll;
-  } else if (!cli.io_model.empty()) {
-    std::cerr << "--io-model must be blocking or epoll\n";
-    return 2;
-  }  // empty = kDefault, resolved from COVERAGE_IO_MODEL
   options.session_defaults.tau = cli.tau;
   options.session_defaults.num_threads = service_threads;
   options.session_defaults.thread_budget = budget;
@@ -422,11 +399,7 @@ int main(int argc, char** argv) {
             << " listening on port " << server.port() << " ("
             << server.service().num_rows() << " rows, "
             << server.service().schema().num_attributes()
-            << " attributes; tau default " << cli.tau << "; io model "
-            << (server.io_model() == coverage::http::IoModel::kEpoll
-                    ? "epoll"
-                    : "blocking")
-            << ")\n"
+            << " attributes; tau default " << cli.tau << ")\n"
             << std::flush;
   if (!cli.data_dir.empty()) {
     std::cout << "durable sessions under " << cli.data_dir << " (default "
