@@ -25,14 +25,6 @@ inline bool FullScale() {
 /// Default data size stand-in for the paper's 1M-row AirBnB experiments.
 inline std::size_t AirbnbRows() { return FullScale() ? 1000000u : 200000u; }
 
-/// BENCH_LEGACY=1 forces the legacy vector<int> pattern representation in
-/// the MUP searches, so the packed-representation speedup can be measured
-/// as a before/after pair from one binary.
-inline bool LegacyRepresentation() {
-  const char* env = std::getenv("BENCH_LEGACY");
-  return env != nullptr && env[0] == '1';
-}
-
 /// Prints the standard experiment banner.
 inline void Banner(const std::string& figure, const std::string& setting) {
   std::cout << "==============================================================="

@@ -16,7 +16,6 @@ int main() {
   MupSearchOptions options;
   options.tau = std::max<std::uint64_t>(1, n / 1000);
   options.enumeration_limit = 1u << 26;
-  options.use_packed_representation = !bench::LegacyRepresentation();
 
   bench::BenchJson json("fig15_airbnb_dimensions");
   TablePrinter table({"d", "P-BREAKER (s)", "P-COMBINER (s)", "DEEPDIVER (s)",

@@ -166,10 +166,11 @@ void BM_MupDominanceCheck(benchmark::State& state) {
 }
 BENCHMARK(BM_MupDominanceCheck)->Arg(100)->Arg(10000)->Arg(100000);
 
-// --- Packed pattern key vs the legacy vector<int> representation: the
-// hash / equality / dominance constants every frontier set and dominance
-// index pays once per node visit. The packed form must stay >= 2x ahead on
-// hash+equality or the frontier rewrite lost its reason to exist.
+// --- Packed pattern key vs the vector<int> Pattern of the public API (both
+// schemas fit the 4-word key): the hash / equality / dominance constants
+// every frontier set and dominance index pays once per node visit. The
+// packed form must stay >= 2x ahead on hash+equality or the frontier
+// rewrite lost its reason to exist.
 
 std::vector<Pattern> RandomPatterns(const Schema& schema, std::uint64_t seed) {
   Rng rng(seed);
@@ -201,9 +202,9 @@ BENCHMARK(BM_PatternHashLegacy)->Arg(15)->Arg(60);
 void BM_PatternHashPacked(benchmark::State& state) {
   const Schema schema = Schema::Binary(static_cast<int>(state.range(0)));
   const PatternCodec codec = *PatternCodec::Build(schema);
-  std::vector<PackedPattern> probes;
+  std::vector<PackedPattern<4>> probes;
   for (const Pattern& p : RandomPatterns(schema, 17)) {
-    probes.push_back(codec.Encode(p));
+    probes.push_back(codec.Encode<4>(p));
   }
   std::size_t i = 0;
   for (auto _ : state) {
@@ -230,14 +231,14 @@ BENCHMARK(BM_PatternEqualityLegacy)->Arg(15)->Arg(60);
 void BM_PatternEqualityPacked(benchmark::State& state) {
   const Schema schema = Schema::Binary(static_cast<int>(state.range(0)));
   const PatternCodec codec = *PatternCodec::Build(schema);
-  std::vector<PackedPattern> probes;
+  std::vector<PackedPattern<4>> probes;
   for (const Pattern& p : RandomPatterns(schema, 23)) {
-    probes.push_back(codec.Encode(p));
+    probes.push_back(codec.Encode<4>(p));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    const PackedPattern& a = probes[i & 255];
-    const PackedPattern& b = probes[(i & 1) ? (i & 255) : ((i + 1) & 255)];
+    const PackedPattern<4>& a = probes[i & 255];
+    const PackedPattern<4>& b = probes[(i & 1) ? (i & 255) : ((i + 1) & 255)];
     benchmark::DoNotOptimize(a == b);
     ++i;
   }
@@ -259,9 +260,9 @@ BENCHMARK(BM_PatternDominanceLegacy)->Arg(15)->Arg(60);
 void BM_PatternDominancePacked(benchmark::State& state) {
   const Schema schema = Schema::Binary(static_cast<int>(state.range(0)));
   const PatternCodec codec = *PatternCodec::Build(schema);
-  std::vector<PackedPattern> probes;
+  std::vector<PackedPattern<4>> probes;
   for (const Pattern& p : RandomPatterns(schema, 31)) {
-    probes.push_back(codec.Encode(p));
+    probes.push_back(codec.Encode<4>(p));
   }
   std::size_t i = 0;
   for (auto _ : state) {

@@ -87,7 +87,10 @@ class Arena {
     std::size_t size = next_chunk_bytes_;
     if (size < at_least) size = at_least;
     next_chunk_bytes_ = size * 2;
-    chunks_.push_back(Chunk{std::make_unique<char[]>(size), size});
+    // Uninitialised: allocations promise no contents, and zeroing would
+    // touch every page of a chunk that may be only partly used.
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<char[]>(size), size});
     chunk_ = chunks_.size() - 1;
     cursor_ = 0;
   }

@@ -148,7 +148,7 @@ bool BitmapCoverage::CoverageAtLeast(const Pattern& pattern, std::uint64_t tau,
                                     tau);
 }
 
-std::uint64_t BitmapCoverage::Coverage(const PackedPattern& pattern,
+std::uint64_t BitmapCoverage::Coverage(PackedKeyView pattern,
                                        const PatternCodec& codec,
                                        QueryContext& ctx) const {
   ctx.CountQuery();
@@ -162,7 +162,7 @@ std::uint64_t BitmapCoverage::Coverage(const PackedPattern& pattern,
                                 data_.counts());
 }
 
-bool BitmapCoverage::CoverageAtLeast(const PackedPattern& pattern,
+bool BitmapCoverage::CoverageAtLeast(PackedKeyView pattern,
                                      const PatternCodec& codec,
                                      std::uint64_t tau,
                                      QueryContext& ctx) const {

@@ -74,10 +74,9 @@ class BitmapCoverage : public CoverageOracle {
   /// codec's deterministic fields (O(level), no Pattern materialized). Slot
   /// order — ascending attribute, then the same popcount sort — matches the
   /// vector<int> path bit for bit, which the differential suite relies on.
-  std::uint64_t Coverage(const PackedPattern& pattern,
-                         const PatternCodec& codec,
+  std::uint64_t Coverage(PackedKeyView pattern, const PatternCodec& codec,
                          QueryContext& ctx) const override;
-  bool CoverageAtLeast(const PackedPattern& pattern, const PatternCodec& codec,
+  bool CoverageAtLeast(PackedKeyView pattern, const PatternCodec& codec,
                        std::uint64_t tau, QueryContext& ctx) const override;
 
   /// The bit vector of distinct combinations matching `pattern` (AND of the

@@ -1,5 +1,6 @@
 #include "dataset/aggregate.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -7,8 +8,6 @@ namespace coverage {
 
 AggregatedData::AggregatedData(Schema schema) : schema_(std::move(schema)) {
   keyable_ = schema_.NumValueCombinations() < Schema::kCombinationLimit;
-  assert(keyable_ &&
-         "aggregation requires the combination space to fit in 64 bits");
 }
 
 AggregatedData::AggregatedData(const Dataset& dataset)
@@ -33,8 +32,10 @@ StatusOr<AggregatedData> AggregatedData::Restore(
         std::to_string(d) + ")");
   }
   agg.index_.reserve(counts.size());
-  for (std::size_t k = 0; k < counts.size(); ++k) {
-    const std::span<const Value> combo(cells.data() + k * d, d);
+  agg.cells_ = std::move(cells);
+  agg.counts_ = std::move(counts);
+  for (std::size_t k = 0; k < agg.counts_.size(); ++k) {
+    const std::span<const Value> combo = agg.combination(k);
     for (std::size_t i = 0; i < d; ++i) {
       if (combo[i] < 0 ||
           combo[i] >= agg.schema_.cardinality(static_cast<int>(i))) {
@@ -44,39 +45,34 @@ StatusOr<AggregatedData> AggregatedData::Restore(
             " out of range");
       }
     }
-    const auto [it, inserted] = agg.index_.try_emplace(agg.KeyOf(combo), k);
-    (void)it;
-    if (!inserted) {
+    if (!agg.Insert(combo, k).second) {
       return Status::InvalidArgument("restore: duplicate combination at id " +
                                      std::to_string(k));
     }
-    agg.total_count_ += counts[k];
-    if (counts[k] == 0) ++agg.tombstones_;
+    agg.total_count_ += agg.counts_[k];
+    if (agg.counts_[k] == 0) ++agg.tombstones_;
   }
-  agg.cells_ = std::move(cells);
-  agg.counts_ = std::move(counts);
   return agg;
 }
 
 void AggregatedData::AppendRow(std::span<const Value> row) {
   assert(static_cast<int>(row.size()) == num_attributes());
-  const std::uint64_t key = KeyOf(row);
-  auto [it, inserted] = index_.try_emplace(key, counts_.size());
+  const auto [id, inserted] = Insert(row, counts_.size());
   if (inserted) {
     cells_.insert(cells_.end(), row.begin(), row.end());
     counts_.push_back(0);
-  } else if (counts_[it->second] == 0) {
+  } else if (counts_[id] == 0) {
     --tombstones_;  // the combination revives in place, keeping its id
   }
-  ++counts_[it->second];
+  ++counts_[id];
   ++total_count_;
 }
 
 bool AggregatedData::DecrementRow(std::span<const Value> row) {
   assert(static_cast<int>(row.size()) == num_attributes());
-  const auto it = index_.find(KeyOf(row));
-  if (it == index_.end() || counts_[it->second] == 0) return false;
-  if (--counts_[it->second] == 0) ++tombstones_;
+  const std::size_t id = IdOf(row);
+  if (id == kAbsent || counts_[id] == 0) return false;
+  if (--counts_[id] == 0) ++tombstones_;
   --total_count_;
   return true;
 }
@@ -88,17 +84,49 @@ void AggregatedData::AppendRows(const Dataset& rows) {
 
 std::uint64_t AggregatedData::KeyOf(std::span<const Value> combination) const {
   std::uint64_t key = 0;
-  for (int i = 0; i < num_attributes(); ++i) {
-    key = key * static_cast<std::uint64_t>(schema_.cardinality(i)) +
-          static_cast<std::uint64_t>(combination[static_cast<std::size_t>(i)]);
+  if (keyable_) {
+    for (int i = 0; i < num_attributes(); ++i) {
+      key = key * static_cast<std::uint64_t>(schema_.cardinality(i)) +
+            static_cast<std::uint64_t>(
+                combination[static_cast<std::size_t>(i)]);
+    }
+    return key;
+  }
+  // A polynomial in an odd multiplier: unlike the radix-2^k products of a
+  // wide binary schema, it never shifts a leading cell out of the key.
+  for (const Value v : combination) {
+    key = key * 0x9e3779b97f4a7c15ull + static_cast<std::uint64_t>(v);
   }
   return key;
 }
 
+std::pair<std::size_t, bool> AggregatedData::Insert(
+    std::span<const Value> combination, std::size_t id) {
+  for (std::uint64_t key = KeyOf(combination);; ++key) {
+    const auto [it, inserted] = index_.try_emplace(key, id);
+    if (inserted) return {id, true};
+    if (keyable_ || std::ranges::equal(this->combination(it->second),
+                                       combination)) {
+      return {it->second, false};
+    }
+  }
+}
+
+std::size_t AggregatedData::IdOf(std::span<const Value> combination) const {
+  for (std::uint64_t key = KeyOf(combination);; ++key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) return kAbsent;
+    if (keyable_ || std::ranges::equal(this->combination(it->second),
+                                       combination)) {
+      return it->second;
+    }
+  }
+}
+
 std::uint64_t AggregatedData::CountOf(
     std::span<const Value> combination) const {
-  const auto it = index_.find(KeyOf(combination));
-  return it == index_.end() ? 0 : counts_[it->second];
+  const std::size_t id = IdOf(combination);
+  return id == kAbsent ? 0 : counts_[id];
 }
 
 }  // namespace coverage

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -95,19 +96,30 @@ class AggregatedData {
 
   int num_attributes() const { return schema_.num_attributes(); }
 
-  /// The mixed-radix key of a full value combination — the canonical 64-bit
-  /// row identity (well-defined because construction asserts Π cᵢ fits).
-  /// Exposed so row-multiset bookkeeping outside the relation (e.g. the
-  /// engine's sliding-window scrub) keys rows identically.
-  std::uint64_t KeyOf(std::span<const Value> combination) const;
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
+  /// The id of a full value combination, or kAbsent — the exact row
+  /// identity, exposed so row-multiset bookkeeping outside the relation
+  /// (e.g. the engine's sliding-window scrub) keys rows identically.
+  std::size_t IdOf(std::span<const Value> combination) const;
 
  private:
+  /// The index key a combination's probe starts at: its exact mixed-radix
+  /// code when Π cᵢ fits in 64 bits, else a hash of its cells.
+  std::uint64_t KeyOf(std::span<const Value> combination) const;
+
+  /// Maps `combination` to `id` unless it is already present. Returns the
+  /// combination's id and whether it was inserted. A hash key taken by a
+  /// different combination moves on to the next key; combinations are never
+  /// erased, so no probe sequence is ever cut short.
+  std::pair<std::size_t, bool> Insert(std::span<const Value> combination,
+                                      std::size_t id);
   Schema schema_;
   std::vector<Value> cells_;            // distinct combinations, row-major
   std::vector<std::uint64_t> counts_;   // parallel multiplicities
   std::uint64_t total_count_ = 0;
   std::size_t tombstones_ = 0;          // combinations at multiplicity 0
-  bool keyable_ = false;                // Π c_i fits in 64 bits
+  bool keyable_ = false;                // Π c_i fits: keys are exact
   std::unordered_map<std::uint64_t, std::size_t> index_;  // key -> combo id
 };
 

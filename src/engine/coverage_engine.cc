@@ -2,16 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "dataset/csv_stream.h"
-#include "mups/mup_index.h"
 #include "mups/packed_index.h"
 #include "pattern/packed_set.h"
 
@@ -20,26 +17,6 @@ namespace coverage {
 namespace {
 
 using DominanceMode = MupSearchOptions::DominanceMode;
-
-/// "Is `p` strictly dominated by a maintained MUP?" under the engine's
-/// dominance mode. `mups` is the live set (survivors + MUPs found so far
-/// this epoch); `index` is only populated in kBitmapIndex mode.
-bool IsDominatedByMups(const std::vector<Pattern>& mups,
-                       const MupDominanceIndex& index, DominanceMode mode,
-                       const Pattern& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.IsDominated(p);
-    case DominanceMode::kLinearScan:
-      for (const Pattern& m : mups) {
-        if (m.Dominates(p)) return true;
-      }
-      return false;
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
 
 /// Validates borrowed rows against `schema` (width + value ranges) and
 /// materialises them as a Dataset batch.
@@ -73,13 +50,8 @@ Status EncodeRows(const Schema& schema,
 CoverageEngine::CoverageEngine(Schema schema, EngineOptions options)
     : schema_(std::move(schema)), options_(options) {
   assert(options_.num_threads >= 1);
-  if (options_.use_packed_representation) {
-    auto codec = PatternCodec::Build(schema_);
-    if (codec.ok()) {
-      codec_ = std::move(*codec);
-      packed_ok_ = true;
-    }
-  }
+  auto codec = PatternCodec::Build(schema_);
+  if (codec.ok()) codec_ = std::move(*codec);
   auto first = std::shared_ptr<Snapshot>(
       new Snapshot(AggregatedData(schema_), nullptr, 0));
   // cov(P) = 0 for every pattern of the empty dataset, so the root is the
@@ -92,6 +64,19 @@ CoverageEngine::CoverageEngine(Schema schema, EngineOptions options)
 }
 
 CoverageEngine::~CoverageEngine() = default;
+
+StatusOr<std::unique_ptr<CoverageEngine>> CoverageEngine::Create(
+    Schema schema, EngineOptions options) {
+  COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(schema).status());
+  return std::make_unique<CoverageEngine>(std::move(schema), options);
+}
+
+Status CoverageEngine::CheckKeyWidth() const {
+  if (codec_.num_attributes() == schema_.num_attributes()) {
+    return Status::OK();
+  }
+  return PatternCodec::Build(schema_).status();
+}
 
 std::shared_ptr<const CoverageEngine::Snapshot> CoverageEngine::snapshot()
     const {
@@ -147,8 +132,9 @@ StatusOr<std::unique_ptr<CoverageEngine>> CoverageEngine::Restore(
   }
   if (image.options.num_threads < 1) image.options.num_threads = 1;
 
-  auto engine =
-      std::make_unique<CoverageEngine>(image.schema, image.options);
+  auto created = Create(image.schema, image.options);
+  if (!created.ok()) return created.status();
+  std::unique_ptr<CoverageEngine> engine = std::move(*created);
   auto snap = std::shared_ptr<Snapshot>(
       new Snapshot(std::move(*agg), nullptr, image.epoch));
   snap->mups_ = std::move(image.mups);
@@ -174,6 +160,7 @@ Status CoverageEngine::AppendRows(const Dataset& rows,
     return Status::InvalidArgument(
         "appended rows' schema does not match the engine schema");
   }
+  COVERAGE_RETURN_IF_ERROR(CheckKeyWidth());
   std::lock_guard<std::mutex> writer(writer_mu_);
   Stopwatch timer;
   const std::shared_ptr<const Snapshot> cur = snapshot();
@@ -260,6 +247,7 @@ Status CoverageEngine::RetractRows(const Dataset& rows,
     return Status::InvalidArgument(
         "retracted rows' schema does not match the engine schema");
   }
+  COVERAGE_RETURN_IF_ERROR(CheckKeyWidth());
   std::lock_guard<std::mutex> writer(writer_mu_);
   Stopwatch timer;
   const std::shared_ptr<const Snapshot> cur = snapshot();
@@ -310,7 +298,7 @@ Status CoverageEngine::RetractFrom(const std::shared_ptr<const Snapshot>& base,
 
   auto next = std::shared_ptr<Snapshot>(
       new Snapshot(std::move(agg), base->oracle_, tombstoned, {}, epoch));
-  next->mups_ = RetractMups(*next, base->mups_, std::move(seeds), stats);
+  next->mups_ = RetractMups(*next, base->mups_, seeds, stats);
 
   // Tombstone compaction: once dead combinations pass the configured
   // fraction, republish this epoch over a dense rebuild. The MUP set is
@@ -352,19 +340,19 @@ Status CoverageEngine::RetractFrom(const std::shared_ptr<const Snapshot>& base,
 }
 
 void CoverageEngine::ScrubWindow(const Dataset& removed) {
-  // Key rows exactly as the aggregated relation does, so the scrub and the
-  // retraction agree on row identity.
+  // Key rows by their combination id, so the scrub and the retraction agree
+  // on row identity.
   const AggregatedData& agg = snapshot()->data();
-  std::unordered_map<std::uint64_t, std::uint64_t> pending;
+  std::unordered_map<std::size_t, std::uint64_t> pending;
   for (std::size_t r = 0; r < removed.num_rows(); ++r) {
-    ++pending[agg.KeyOf(removed.row(r))];
+    ++pending[agg.IdOf(removed.row(r))];
   }
   for (Dataset& batch : window_batches_) {
     if (pending.empty()) break;
     Dataset kept(schema_);
     bool changed = false;
     for (std::size_t r = 0; r < batch.num_rows(); ++r) {
-      const auto it = pending.find(agg.KeyOf(batch.row(r)));
+      const auto it = pending.find(agg.IdOf(batch.row(r)));
       if (it != pending.end()) {
         if (--it->second == 0) pending.erase(it);
         changed = true;
@@ -412,9 +400,41 @@ StatusOr<IngestStats> CoverageEngine::IngestCsvChunked(std::istream& is,
   return stats;
 }
 
-std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
+template <typename Probe>
+void CoverageEngine::ForEachRecheck(std::size_t n, EngineUpdateStats* stats,
+                                    Probe&& probe) {
+  if (options_.num_threads > 1 && n >= 128) {
+    if (pool_ == nullptr) {
+      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
+    }
+    std::vector<QueryContext> ctxs(
+        static_cast<std::size_t>(pool_->num_workers()));
+    pool_->ParallelFor(n, 64, [&](int worker, std::size_t i) {
+      probe(i, ctxs[static_cast<std::size_t>(worker)]);
+    });
+    for (const QueryContext& ctx : ctxs) {
+      stats->coverage_queries += ctx.num_queries();
+    }
+  } else {
+    QueryContext ctx;
+    for (std::size_t i = 0; i < n; ++i) probe(i, ctx);
+    stats->coverage_queries += ctx.num_queries();
+  }
+}
+
+std::vector<Pattern> CoverageEngine::UpdateMups(
     const Snapshot& next, const std::vector<Pattern>& old_mups,
     EngineUpdateStats* stats) {
+  return WithKeyWidth(codec_, [&]<int W>(std::integral_constant<int, W>) {
+    return UpdateMupsAt<W>(next, old_mups, stats);
+  });
+}
+
+template <int W>
+std::vector<Pattern> CoverageEngine::UpdateMupsAt(
+    const Snapshot& next, const std::vector<Pattern>& old_mups,
+    EngineUpdateStats* stats) {
+  using Key = PackedPattern<W>;
   const BitmapCoverage& oracle = next.oracle();
   const PatternCodec& codec = codec_;
   const std::uint64_t tau = options_.tau;
@@ -422,42 +442,24 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   const int max_level = options_.max_level < 0 ? d : options_.max_level;
   const DominanceMode mode = options_.dominance_mode;
 
-  std::vector<PackedPattern> old_packed;
+  std::vector<Key> old_packed;
   old_packed.reserve(old_mups.size());
-  for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode(m));
+  for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode<W>(m));
 
-  // Phase 1 — recheck every previous MUP against the grown counts (same
-  // probe sequence as the legacy path: one CoverageAtLeast per MUP).
+  // Phase 1 — recheck every previous MUP against the grown counts. The
+  // probes are independent, so they parallelise over the pool with a
+  // deterministic merge by index.
   std::vector<char> covered(old_packed.size(), 0);
-  if (options_.num_threads > 1 && old_packed.size() >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    ThreadPool& pool = *pool_;
-    std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool.num_workers()));
-    pool.ParallelFor(old_packed.size(), 64, [&](int worker, std::size_t i) {
-      covered[i] = oracle.CoverageAtLeast(
-                       old_packed[i], codec, tau,
-                       ctxs[static_cast<std::size_t>(worker)])
-                       ? 1
-                       : 0;
-    });
-    for (const QueryContext& ctx : ctxs) {
-      stats->coverage_queries += ctx.num_queries();
-    }
-  } else {
-    QueryContext ctx;
-    for (std::size_t i = 0; i < old_packed.size(); ++i) {
-      covered[i] = oracle.CoverageAtLeast(old_packed[i], codec, tau, ctx)
-                       ? 1
-                       : 0;
-    }
-    stats->coverage_queries += ctx.num_queries();
-  }
+  ForEachRecheck(old_packed.size(), stats,
+                 [&](std::size_t i, QueryContext& ctx) {
+                   covered[i] =
+                       oracle.CoverageAtLeast(old_packed[i], codec, tau, ctx)
+                           ? 1
+                           : 0;
+                 });
 
-  std::vector<PackedPattern> mups;  // survivors, then fresh discoveries
-  std::vector<PackedPattern> frontier;  // newly covered → re-expansion roots
+  std::vector<Key> mups;      // survivors, then fresh discoveries
+  std::vector<Key> frontier;  // newly covered → re-expansion roots
   for (std::size_t i = 0; i < old_packed.size(); ++i) {
     (covered[i] != 0 ? frontier : mups).push_back(old_packed[i]);
   }
@@ -465,21 +467,19 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   stats->mups_newly_covered = frontier.size();
   if (frontier.empty()) {
     // Still sorted: a subsequence of the sorted old set.
-    std::vector<Pattern> out;
-    out.reserve(mups.size());
-    for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-    return out;
+    return PackedMupSet(codec, mups).Materialize();
   }
 
-  // Phase 2 — re-seed the Appendix-B dominance index from the survivors.
-  PackedMupIndex index(schema_, codec);
+  // Phase 2 — re-seed the Appendix-B dominance index from the survivors in
+  // one batched append; fresh MUPs join it as they are found.
+  PackedMupIndex<W> index(schema_, codec);
   if (mode == DominanceMode::kBitmapIndex) index.AddBatch(mups);
-  const auto dominated_by_mups = [&](const PackedPattern& p) -> bool {
+  const auto dominated_by_mups = [&](const Key& p) -> bool {
     switch (mode) {
       case DominanceMode::kBitmapIndex:
         return index.IsDominated(p);
       case DominanceMode::kLinearScan:
-        for (const PackedPattern& m : mups) {
+        for (const Key& m : mups) {
           if (m.Dominates(p)) return true;
         }
         return false;
@@ -489,26 +489,29 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
     return false;
   };
 
-  // Phase 3 — BFS over the covered region beneath the newly covered MUPs,
-  // frontier and dedup set both arena-backed (the FIFO is an ArenaVector
-  // with a head cursor; nothing is ever popped physically).
+  // Phase 3 — BFS over the covered region beneath the newly covered MUPs.
+  // Insert monotonicity confines every fresh MUP to these subtrees: an
+  // uncovered child with every parent covered is a MUP; a covered child is
+  // expanded further. `seen` dedups nodes shared between subtrees. Frontier
+  // and dedup set are both arena-backed (the FIFO is an ArenaVector with a
+  // head cursor; nothing is ever popped physically).
   QueryContext ctx;
   Arena arena;
-  PackedPatternSet seen(&arena);
-  ArenaVector<PackedPattern> queue(&arena);
-  for (const PackedPattern& f : frontier) {
+  PackedPatternSet<W> seen(&arena);
+  ArenaVector<Key> queue(&arena);
+  for (const Key& f : frontier) {
     seen.Insert(f);
     queue.push_back(f);
   }
   std::size_t head = 0;
   while (head < queue.size()) {
-    const PackedPattern p = queue[head++];
+    const Key p = queue[head++];
     if (p.level() >= max_level) continue;  // children would exceed the cap
     for (int attr = 0; attr < d; ++attr) {
       if (codec.is_deterministic(p, attr)) continue;
       for (Value v = 0; v < static_cast<Value>(schema_.cardinality(attr));
            ++v) {
-        const PackedPattern child = codec.WithCell(p, attr, v);
+        const Key child = codec.WithCell(p, attr, v);
         if (!seen.Insert(child)) continue;
         if (oracle.CoverageAtLeast(child, codec, tau, ctx)) {
           queue.push_back(child);
@@ -522,7 +525,7 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
         bool maximal = true;
         for (int i = 0; i < d && maximal; ++i) {
           if (!codec.is_deterministic(child, i)) continue;
-          const PackedPattern parent = codec.WithCell(child, i, kWildcard);
+          const Key parent = codec.WithCell(child, i, kWildcard);
           if (parent == p) continue;
           if (!oracle.CoverageAtLeast(parent, codec, tau, ctx)) {
             maximal = false;
@@ -537,116 +540,26 @@ std::vector<Pattern> CoverageEngine::UpdateMupsPacked(
   }
   stats->coverage_queries += ctx.num_queries();
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
-  std::vector<Pattern> out;
-  out.reserve(mups.size());
-  for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-  return out;
+  return PackedMupSet(codec, mups).Materialize();
 }
 
-std::vector<Pattern> CoverageEngine::UpdateMups(
-    const Snapshot& next, const std::vector<Pattern>& old_mups,
-    EngineUpdateStats* stats) {
-  if (packed_ok_) return UpdateMupsPacked(next, old_mups, stats);
-  const BitmapCoverage& oracle = next.oracle();
-  const Schema& schema = next.data().schema();
-  const std::uint64_t tau = options_.tau;
-  const int d = schema.num_attributes();
-  const int max_level = options_.max_level < 0 ? d : options_.max_level;
-  const DominanceMode mode = options_.dominance_mode;
-
-  // Phase 1 — recheck every previous MUP against the grown counts. The
-  // probes are independent, so they parallelise over the pool with a
-  // deterministic merge by index.
-  std::vector<char> covered(old_mups.size(), 0);
-  if (options_.num_threads > 1 && old_mups.size() >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    ThreadPool& pool = *pool_;
-    std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool.num_workers()));
-    pool.ParallelFor(old_mups.size(), 64, [&](int worker, std::size_t i) {
-      covered[i] = oracle.CoverageAtLeast(
-                       old_mups[i], tau,
-                       ctxs[static_cast<std::size_t>(worker)])
-                       ? 1
-                       : 0;
-    });
-    for (const QueryContext& ctx : ctxs) {
-      stats->coverage_queries += ctx.num_queries();
-    }
-  } else {
-    QueryContext ctx;
-    for (std::size_t i = 0; i < old_mups.size(); ++i) {
-      covered[i] = oracle.CoverageAtLeast(old_mups[i], tau, ctx) ? 1 : 0;
-    }
-    stats->coverage_queries += ctx.num_queries();
-  }
-
-  std::vector<Pattern> mups;      // survivors, then fresh discoveries
-  std::vector<Pattern> frontier;  // newly covered → re-expansion roots
-  for (std::size_t i = 0; i < old_mups.size(); ++i) {
-    (covered[i] != 0 ? frontier : mups).push_back(old_mups[i]);
-  }
-  stats->mups_rechecked = old_mups.size();
-  stats->mups_newly_covered = frontier.size();
-  if (frontier.empty()) return mups;  // still sorted: a subsequence
-
-  // Phase 2 — re-seed the Appendix-B dominance index from the survivors in
-  // one batched append; fresh MUPs join it as they are found.
-  MupDominanceIndex index(schema);
-  if (mode == DominanceMode::kBitmapIndex) index.AddBatch(mups);
-
-  // Phase 3 — BFS over the covered region beneath the newly covered MUPs.
-  // Insert monotonicity confines every fresh MUP to these subtrees: an
-  // uncovered child with every parent covered is a MUP; a covered child is
-  // expanded further. `seen` dedups nodes shared between subtrees.
-  QueryContext ctx;
-  std::unordered_set<Pattern, PatternHash> seen(frontier.begin(),
-                                                frontier.end());
-  std::deque<Pattern> queue(frontier.begin(), frontier.end());
-  while (!queue.empty()) {
-    const Pattern p = std::move(queue.front());
-    queue.pop_front();
-    if (p.level() >= max_level) continue;  // children would exceed the cap
-    for (int attr = 0; attr < d; ++attr) {
-      if (p.is_deterministic(attr)) continue;
-      for (Value v = 0; v < static_cast<Value>(schema.cardinality(attr));
-           ++v) {
-        Pattern child = p.WithCell(attr, v);
-        if (!seen.insert(child).second) continue;
-        if (oracle.CoverageAtLeast(child, tau, ctx)) {
-          queue.push_back(std::move(child));
-          continue;
-        }
-        // Uncovered. Beneath a maintained MUP → not maximal, whole subtree
-        // already accounted for.
-        if (IsDominatedByMups(mups, index, mode, child)) continue;
-        // Maximal iff every parent is covered; `p` is one of them and is
-        // known covered.
-        bool maximal = true;
-        for (const Pattern& parent : child.Parents()) {
-          if (parent == p) continue;
-          if (!oracle.CoverageAtLeast(parent, tau, ctx)) {
-            maximal = false;
-            break;
-          }
-        }
-        if (!maximal) continue;
-        mups.push_back(child);
-        ++stats->mups_added;
-        if (mode == DominanceMode::kBitmapIndex) index.Add(child);
-      }
-    }
-  }
-  stats->coverage_queries += ctx.num_queries();
-  std::sort(mups.begin(), mups.end());
-  return mups;
-}
-
-std::vector<Pattern> CoverageEngine::RetractMupsPacked(
+std::vector<Pattern> CoverageEngine::RetractMups(
     const Snapshot& next, const std::vector<Pattern>& old_mups,
     const std::vector<Pattern>& seeds, EngineUpdateStats* stats) {
+  // No retracted combination crossed below τ ⇒ the MUP set is unchanged:
+  // a demotion would need a parent below τ, which in turn forces a changed
+  // matched combination below τ — i.e. a seed. Skip all maintenance.
+  if (seeds.empty()) return old_mups;
+  return WithKeyWidth(codec_, [&]<int W>(std::integral_constant<int, W>) {
+    return RetractMupsAt<W>(next, old_mups, seeds, stats);
+  });
+}
+
+template <int W>
+std::vector<Pattern> CoverageEngine::RetractMupsAt(
+    const Snapshot& next, const std::vector<Pattern>& old_mups,
+    const std::vector<Pattern>& seeds, EngineUpdateStats* stats) {
+  using Key = PackedPattern<W>;
   const BitmapCoverage& oracle = next.oracle();
   const PatternCodec& codec = codec_;
   const std::uint64_t tau = options_.tau;
@@ -654,51 +567,39 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   const int max_level = options_.max_level < 0 ? d : options_.max_level;
   const DominanceMode mode = options_.dominance_mode;
 
-  std::vector<PackedPattern> old_packed;
+  std::vector<Key> old_packed;
   old_packed.reserve(old_mups.size());
-  for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode(m));
+  for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode<W>(m));
 
-  // Phase 1 — recheck each previous MUP's parents (see the legacy body for
-  // the monotonicity argument; probe sequence is identical).
+  // Phase 1 — deletion keeps every previous MUP uncovered, but maximality
+  // can break: a parent whose count fell below τ is now an uncovered strict
+  // ancestor. Recheck each previous MUP's parents, exactly like the
+  // append-path recheck.
   std::vector<char> maximal(old_packed.size(), 1);
-  const auto recheck = [&](const PackedPattern& m, QueryContext& ctx) -> char {
-    for (int i = 0; i < d; ++i) {
-      if (!codec.is_deterministic(m, i)) continue;
-      const PackedPattern parent = codec.WithCell(m, i, kWildcard);
-      if (!oracle.CoverageAtLeast(parent, codec, tau, ctx)) return 0;
-    }
-    return 1;
-  };
-  if (options_.num_threads > 1 && old_packed.size() >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    ThreadPool& pool = *pool_;
-    std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool.num_workers()));
-    pool.ParallelFor(old_packed.size(), 64, [&](int worker, std::size_t i) {
-      maximal[i] =
-          recheck(old_packed[i], ctxs[static_cast<std::size_t>(worker)]);
-    });
-    for (const QueryContext& ctx : ctxs) {
-      stats->coverage_queries += ctx.num_queries();
-    }
-  } else {
-    QueryContext ctx;
-    for (std::size_t i = 0; i < old_packed.size(); ++i) {
-      maximal[i] = recheck(old_packed[i], ctx);
-    }
-    stats->coverage_queries += ctx.num_queries();
-  }
+  ForEachRecheck(old_packed.size(), stats,
+                 [&](std::size_t i, QueryContext& ctx) {
+                   const Key& m = old_packed[i];
+                   for (int a = 0; a < d; ++a) {
+                     if (!codec.is_deterministic(m, a)) continue;
+                     const Key parent = codec.WithCell(m, a, kWildcard);
+                     if (!oracle.CoverageAtLeast(parent, codec, tau, ctx)) {
+                       maximal[i] = 0;
+                       return;
+                     }
+                   }
+                 });
   stats->mups_rechecked += old_mups.size();
 
-  // Phase 2 — seed the index with the whole previous set, then Remove the
-  // demoted MUPs.
+  // Phase 2 — seed the Appendix-B index with the whole previous set in one
+  // batched append, then Remove the demoted MUPs: only verified-maximal
+  // patterns may stay, because both pruning directions below lean on
+  // maximality (a pattern strictly dominating a maintained MUP generalises
+  // one of its covered parents).
   Arena arena;
-  PackedMupIndex index(schema_, codec);
+  PackedMupIndex<W> index(schema_, codec);
   if (mode == DominanceMode::kBitmapIndex) index.AddBatch(old_packed);
-  std::vector<PackedPattern> mups;  // survivors, then fresh discoveries
-  PackedPatternSet member(&arena);
+  std::vector<Key> mups;  // survivors, then fresh discoveries
+  PackedPatternSet<W> member(&arena);
   for (std::size_t i = 0; i < old_packed.size(); ++i) {
     if (maximal[i] != 0) {
       mups.push_back(old_packed[i]);
@@ -709,21 +610,29 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
     }
   }
 
-  // Phase 3 — upward BFS from the retracted combinations now below τ (see
-  // the legacy body). The memo packs three states into one byte: -1 unknown
-  // slot just created, 0 uncovered, 1 covered.
+  // Phase 3 — upward BFS from the retracted combinations now below τ,
+  // expanding only through uncovered patterns. Every new MUP is an ancestor
+  // of such a combination (its count changed, so it matches a retracted
+  // row), and the whole lattice interval between the two is uncovered by
+  // monotonicity, so the walk reaches it. A visited pattern is a MUP iff
+  // every parent is covered; all parents are probed regardless, because
+  // each uncovered parent is itself a climb route. The memo answers each
+  // pattern once and packs three states into one byte (-1 slot just
+  // created, 0 uncovered, 1 covered); the dominance index converts both
+  // strict-dominance directions into free coverage answers (below a MUP ⇒
+  // uncovered, above one ⇒ covered).
   QueryContext ctx;
-  PackedPatternMap<std::int8_t> covered(&arena);
-  ArenaVector<PackedPattern> queue(&arena);
+  PackedPatternMap<W, std::int8_t> covered(&arena);
+  ArenaVector<Key> queue(&arena);
   for (const Pattern& s : seeds) {
-    const PackedPattern seed = codec.Encode(s);
+    const Key seed = codec.Encode<W>(s);
     std::int8_t& slot = covered.FindOrInsert(seed, std::int8_t{-1});
     if (slot == -1) {
       slot = 0;  // a seed is below τ by construction
       queue.push_back(seed);
     }
   }
-  const auto is_covered = [&](const PackedPattern& q) -> bool {
+  const auto is_covered = [&](const Key& q) -> bool {
     {
       const std::int8_t* hit = covered.Find(q);
       if (hit != nullptr) return *hit == 1;
@@ -740,7 +649,7 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
         }
         break;
       case DominanceMode::kLinearScan:
-        for (const PackedPattern& m : mups) {
+        for (const Key& m : mups) {
           if (m.DominatesOrEquals(q)) {
             known = true;
             break;
@@ -762,11 +671,11 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   };
   std::size_t head = 0;
   while (head < queue.size()) {
-    const PackedPattern p = queue[head++];
+    const Key p = queue[head++];
     bool is_maximal = true;
     for (int i = 0; i < d; ++i) {
       if (!codec.is_deterministic(p, i)) continue;
-      const PackedPattern parent = codec.WithCell(p, i, kWildcard);
+      const Key parent = codec.WithCell(p, i, kWildcard);
       if (!is_covered(parent)) is_maximal = false;  // keep probing: routes
     }
     if (!is_maximal || p.level() > max_level) continue;
@@ -777,155 +686,7 @@ std::vector<Pattern> CoverageEngine::RetractMupsPacked(
   }
   stats->coverage_queries += ctx.num_queries();
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
-  std::vector<Pattern> out;
-  out.reserve(mups.size());
-  for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-  return out;
-}
-
-std::vector<Pattern> CoverageEngine::RetractMups(
-    const Snapshot& next, const std::vector<Pattern>& old_mups,
-    std::vector<Pattern> seeds, EngineUpdateStats* stats) {
-  // No retracted combination crossed below τ ⇒ the MUP set is unchanged
-  // (see the comment below); checked here so both representations share the
-  // early exit.
-  if (seeds.empty()) return old_mups;
-  if (packed_ok_) return RetractMupsPacked(next, old_mups, seeds, stats);
-  const BitmapCoverage& oracle = next.oracle();
-  const Schema& schema = next.data().schema();
-  const std::uint64_t tau = options_.tau;
-  const int d = schema.num_attributes();
-  const int max_level = options_.max_level < 0 ? d : options_.max_level;
-  const DominanceMode mode = options_.dominance_mode;
-
-  // No retracted combination crossed below τ ⇒ the MUP set is unchanged:
-  // a demotion would need a parent below τ, which in turn forces a changed
-  // matched combination below τ — i.e. a seed. Skip all maintenance.
-  if (seeds.empty()) return old_mups;
-
-  // Phase 1 — deletion keeps every previous MUP uncovered, but maximality
-  // can break: a parent whose count fell below τ is now an uncovered strict
-  // ancestor. Recheck each previous MUP's parents; the probes are
-  // independent, so they parallelise over the pool with a deterministic
-  // merge by index, exactly like the append-path recheck.
-  std::vector<char> maximal(old_mups.size(), 1);
-  const auto recheck = [&](const Pattern& m, QueryContext& ctx) -> char {
-    for (const Pattern& parent : m.Parents()) {
-      if (!oracle.CoverageAtLeast(parent, tau, ctx)) return 0;
-    }
-    return 1;
-  };
-  if (options_.num_threads > 1 && old_mups.size() >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
-    ThreadPool& pool = *pool_;
-    std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool.num_workers()));
-    pool.ParallelFor(old_mups.size(), 64, [&](int worker, std::size_t i) {
-      maximal[i] =
-          recheck(old_mups[i], ctxs[static_cast<std::size_t>(worker)]);
-    });
-    for (const QueryContext& ctx : ctxs) {
-      stats->coverage_queries += ctx.num_queries();
-    }
-  } else {
-    QueryContext ctx;
-    for (std::size_t i = 0; i < old_mups.size(); ++i) {
-      maximal[i] = recheck(old_mups[i], ctx);
-    }
-    stats->coverage_queries += ctx.num_queries();
-  }
-  stats->mups_rechecked += old_mups.size();
-
-  // Phase 2 — seed the Appendix-B index with the whole previous set in one
-  // batched append, then Remove the demoted MUPs: only verified-maximal
-  // patterns may stay, because both pruning directions below lean on
-  // maximality (a pattern strictly dominating a maintained MUP generalises
-  // one of its covered parents).
-  MupDominanceIndex index(schema);
-  if (mode == DominanceMode::kBitmapIndex) index.AddBatch(old_mups);
-  std::vector<Pattern> mups;  // survivors, then fresh discoveries
-  std::unordered_set<Pattern, PatternHash> member;
-  for (std::size_t i = 0; i < old_mups.size(); ++i) {
-    if (maximal[i] != 0) {
-      mups.push_back(old_mups[i]);
-      member.insert(old_mups[i]);
-    } else {
-      if (mode == DominanceMode::kBitmapIndex) index.Remove(old_mups[i]);
-      ++stats->mups_demoted;
-    }
-  }
-
-  // Phase 3 — upward BFS from the retracted combinations now below τ,
-  // expanding only through uncovered patterns. Every new MUP is an ancestor
-  // of such a combination (its count changed, so it matches a retracted
-  // row), and the whole lattice interval between the two is uncovered by
-  // monotonicity, so the walk reaches it. A visited pattern is a MUP iff
-  // every parent is covered; all parents are probed regardless, because
-  // each uncovered parent is itself a climb route. The memo answers each
-  // pattern once; the dominance index converts both strict-dominance
-  // directions into free coverage answers (below a MUP ⇒ uncovered, above
-  // one ⇒ covered).
-  QueryContext ctx;
-  std::unordered_map<Pattern, bool, PatternHash> covered;  // pattern → cov≥τ
-  std::deque<Pattern> queue;
-  for (Pattern& seed : seeds) {
-    if (covered.try_emplace(seed, false).second) {
-      queue.push_back(std::move(seed));
-    }
-  }
-  const auto is_covered = [&](const Pattern& q) -> bool {
-    const auto [it, inserted] = covered.try_emplace(q, false);
-    if (!inserted) return it->second;
-    bool cov = false;
-    bool known = false;
-    switch (mode) {
-      case DominanceMode::kBitmapIndex:
-        if (index.Contains(q) || index.IsDominated(q)) {
-          known = true;  // a maintained MUP, or beneath one: uncovered
-        } else if (index.DominatesSome(q)) {
-          cov = true;  // generalises a covered parent of a maintained MUP
-          known = true;
-        }
-        break;
-      case DominanceMode::kLinearScan:
-        for (const Pattern& m : mups) {
-          if (m.DominatesOrEquals(q)) {
-            known = true;
-            break;
-          }
-          if (q.Dominates(m)) {
-            cov = true;
-            known = true;
-            break;
-          }
-        }
-        break;
-      case DominanceMode::kNoPruning:
-        break;
-    }
-    if (!known) cov = oracle.CoverageAtLeast(q, tau, ctx);
-    it->second = cov;
-    if (!cov) queue.push_back(q);
-    return cov;
-  };
-  while (!queue.empty()) {
-    const Pattern p = std::move(queue.front());
-    queue.pop_front();
-    bool is_maximal = true;
-    for (const Pattern& parent : p.Parents()) {
-      if (!is_covered(parent)) is_maximal = false;  // keep probing: routes
-    }
-    if (!is_maximal || p.level() > max_level) continue;
-    if (!member.insert(p).second) continue;  // already a survivor
-    mups.push_back(p);
-    if (mode == DominanceMode::kBitmapIndex) index.Add(p);
-    ++stats->mups_added;
-  }
-  stats->coverage_queries += ctx.num_queries();
-  std::sort(mups.begin(), mups.end());
-  return mups;
+  return PackedMupSet(codec, mups).Materialize();
 }
 
 }  // namespace coverage

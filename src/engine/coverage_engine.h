@@ -76,14 +76,6 @@ struct EngineOptions {
   /// historical behaviour). Not persisted: a restored engine applies its
   /// caller's setting.
   double compact_tombstone_fraction = 0.0;
-
-  /// Run the incremental maintenance (MUP recheck + re-expansion / upward
-  /// climb) on the packed pattern representation. Identical results and
-  /// query counts either way — the flag exists for the differential suite
-  /// and as an escape hatch. Schemas too wide for a PatternCodec fall back
-  /// to the legacy representation automatically. Not persisted: a restored
-  /// engine picks its own representation.
-  bool use_packed_representation = true;
 };
 
 /// A serializable full-state image of an engine: everything needed to
@@ -143,7 +135,7 @@ struct IngestStats {
 /// strictly beneath a previous MUP whose count crossed τ. The update
 /// therefore rechecks the previous MUPs and re-expands only from the newly
 /// covered ones, pruning with the Appendix-B dominance index (re-seeded per
-/// epoch via MupDominanceIndex::AddBatch). The result is bit-identical to a
+/// epoch via PackedMupIndex::AddBatch). The result is bit-identical to a
 /// from-scratch search on the accumulated data.
 ///
 /// Data also shrinks (sliding windows, retention, GDPR erasure), through
@@ -217,8 +209,17 @@ class CoverageEngine {
   using Row = std::span<const Value>;
 
   /// Starts at epoch 0 over the empty dataset (whose only MUP is the root
-  /// whenever tau >= 1). The schema must be final — bucketize first.
+  /// whenever tau >= 1). The schema must be final — bucketize first — and
+  /// must fit a pattern key (PatternCodec::Build succeeds); Create checks
+  /// that up front. An engine constructed over a wider schema rejects every
+  /// AppendRows / RetractRows with kResourceExhausted.
   explicit CoverageEngine(Schema schema, EngineOptions options = {});
+
+  /// The checked constructor: kResourceExhausted when the schema needs more
+  /// than kMaxPackedKeyBits pattern-key bits.
+  static StatusOr<std::unique_ptr<CoverageEngine>> Create(
+      Schema schema, EngineOptions options = {});
+
   ~CoverageEngine();
 
   const Schema& schema() const { return schema_; }
@@ -301,30 +302,36 @@ class CoverageEngine {
  private:
   /// Incremental Problem-1 maintenance for an append epoch (insert
   /// monotonicity, downward re-expansion); returns the new MUP set, sorted.
-  /// Dispatches to the packed core when the codec is available. Caller holds
-  /// writer_mu_.
+  /// Caller holds writer_mu_.
   std::vector<Pattern> UpdateMups(const Snapshot& next,
                                   const std::vector<Pattern>& old_mups,
                                   EngineUpdateStats* stats);
 
   /// Incremental Problem-1 maintenance for a retraction epoch (deletion
   /// monotonicity, upward climb from `seeds` — the retracted combinations
-  /// now below τ); returns the new MUP set, sorted. Dispatches to the packed
-  /// core when the codec is available. Caller holds writer_mu_.
+  /// now below τ); returns the new MUP set, sorted. Caller holds writer_mu_.
   std::vector<Pattern> RetractMups(const Snapshot& next,
                                    const std::vector<Pattern>& old_mups,
-                                   std::vector<Pattern> seeds,
+                                   const std::vector<Pattern>& seeds,
                                    EngineUpdateStats* stats);
 
-  /// Packed cores of the two maintenance paths: same phases, same query
-  /// sequence, arena-backed frontiers instead of per-node vector<int>.
-  std::vector<Pattern> UpdateMupsPacked(const Snapshot& next,
-                                        const std::vector<Pattern>& old_mups,
-                                        EngineUpdateStats* stats);
-  std::vector<Pattern> RetractMupsPacked(const Snapshot& next,
-                                         const std::vector<Pattern>& old_mups,
-                                         const std::vector<Pattern>& seeds,
-                                         EngineUpdateStats* stats);
+  /// The two maintenance paths on W-word keys (see WithKeyWidth); defined
+  /// and instantiated in coverage_engine.cc only.
+  template <int W>
+  std::vector<Pattern> UpdateMupsAt(const Snapshot& next,
+                                    const std::vector<Pattern>& old_mups,
+                                    EngineUpdateStats* stats);
+  template <int W>
+  std::vector<Pattern> RetractMupsAt(const Snapshot& next,
+                                     const std::vector<Pattern>& old_mups,
+                                     const std::vector<Pattern>& seeds,
+                                     EngineUpdateStats* stats);
+
+  /// Runs `probe(i, ctx)` for i in [0, n), on the recheck pool when the
+  /// engine is multi-threaded and n is large enough to amortise fan-out,
+  /// and adds the contexts' query counts to `stats`.
+  template <typename Probe>
+  void ForEachRecheck(std::size_t n, EngineUpdateStats* stats, Probe&& probe);
 
   /// Builds the retraction snapshot: copies `base`'s relation, decrements
   /// every row of `removed` (InvalidArgument if one is absent; nothing
@@ -337,10 +344,13 @@ class CoverageEngine {
                      std::shared_ptr<Snapshot>* out);
 
   /// Removes one occurrence per row of `removed` from the retained window
-  /// batches, oldest occurrences first (keyed by AggregatedData::KeyOf);
+  /// batches, oldest occurrences first (keyed by AggregatedData::IdOf);
   /// drops batches scrubbed empty. Caller holds writer_mu_ and has already
   /// validated availability.
   void ScrubWindow(const Dataset& removed);
+
+  /// OK, or the kResourceExhausted that Create would have returned.
+  Status CheckKeyWidth() const;
 
   bool Windowed() const {
     return options_.window_max_rows > 0 || options_.window_max_epochs > 0;
@@ -350,11 +360,9 @@ class CoverageEngine {
 
   Schema schema_;
   EngineOptions options_;
-  /// Built once at construction when use_packed_representation is set and
-  /// the schema fits; packed_ok_ false routes maintenance to the legacy
-  /// representation.
+  /// Built once at construction; empty (no attributes) when the schema is
+  /// too wide for a pattern key.
   PatternCodec codec_;
-  bool packed_ok_ = false;
   mutable std::mutex snapshot_mu_;  // guards current_ (pointer swap only)
   /// Serialises epoch builds; mutable so const CaptureImage can take a
   /// consistent cut of snapshot + window state.

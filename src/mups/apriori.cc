@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 
 namespace coverage {
@@ -11,10 +10,10 @@ namespace coverage {
 namespace {
 
 /// An item is one (attribute, value) pair; an item-set is a sorted vector of
-/// item ids. See legacy_mups.cc for the role of the item lattice; the packed
-/// variant below keeps the identical lattice walk but stores each level's
-/// frequent sets in one flat buffer (all rows share a width) and emits MUPs
-/// directly as packed keys.
+/// item ids. Level k of the item lattice holds the k-item sets; a set of
+/// items over distinct attributes is exactly a level-k pattern. Each level's
+/// frequent sets live in one flat buffer (all rows share a width) and MUPs
+/// are emitted directly as packed keys.
 struct ItemCatalog {
   std::vector<int> attr_of;    // item id -> attribute
   std::vector<Value> value_of; // item id -> value
@@ -108,9 +107,10 @@ bool AllSubsetsFrequent(const int* candidate, std::size_t candidate_size,
 
 /// Converts a valid item-set (distinct attributes) to a packed pattern;
 /// returns false for invalid ones (two values of the same attribute).
+template <int W>
 bool ToPacked(const int* items, std::size_t n, const ItemCatalog& catalog,
-              const PatternCodec& codec, PackedPattern* out) {
-  PackedPattern p = codec.Root();
+              const PatternCodec& codec, PackedPattern<W>* out) {
+  PackedPattern<W> p = codec.Root<W>();
   for (std::size_t i = 0; i < n; ++i) {
     const int attr = catalog.attr_of[static_cast<std::size_t>(items[i])];
     if (codec.is_deterministic(p, attr)) return false;
@@ -121,25 +121,23 @@ bool ToPacked(const int* items, std::size_t n, const ItemCatalog& catalog,
   return true;
 }
 
-}  // namespace
-
-StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
+template <int W>
+StatusOr<std::vector<PackedPattern<W>>> Apriori(
     const BitmapCoverage& oracle, const PatternCodec& codec,
     const MupSearchOptions& options, MupSearchStats* stats) {
   Stopwatch timer;
-  const std::uint64_t queries_before = oracle.num_queries();
   const Schema& schema = oracle.data().schema();
   const int d = schema.num_attributes();
   const ItemCatalog catalog(schema);
 
-  std::vector<PackedPattern> mups;
+  std::vector<PackedPattern<W>> mups;
   std::uint64_t nodes_generated = 0;
   std::uint64_t support_queries = 0;
 
   // Level 0: the empty item-set (the root pattern). If even it is
   // infrequent, it is the only MUP.
   if (oracle.data().total_count() < options.tau) {
-    mups.push_back(codec.Root());
+    mups.push_back(codec.Root<W>());
     if (stats != nullptr) {
       stats->coverage_queries = 0;
       stats->nodes_generated = 1;
@@ -159,7 +157,7 @@ StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
     if (Support(&item, 1, catalog, oracle) >= options.tau) {
       frequent.Push(&item);
     } else {
-      PackedPattern p;
+      PackedPattern<W> p;
       if (ToPacked(&item, 1, catalog, codec, &p)) mups.push_back(p);
     }
   }
@@ -199,7 +197,7 @@ StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
           // Negative border: infrequent, all subsets frequent. Valid members
           // are exactly the MUPs; invalid ones (duplicate attribute) are the
           // wasted work this adaptation cannot avoid.
-          PackedPattern p;
+          PackedPattern<W> p;
           if (ToPacked(candidate.data(), candidate.size(), catalog, codec,
                        &p)) {
             mups.push_back(p);
@@ -212,30 +210,33 @@ StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
 
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
   if (stats != nullptr) {
-    stats->coverage_queries = oracle.num_queries() - queries_before;
+    stats->coverage_queries = support_queries;
     stats->nodes_generated = nodes_generated;
     stats->seconds = timer.ElapsedSeconds();
     stats->num_mups = mups.size();
-    (void)support_queries;
   }
   return mups;
+}
+
+}  // namespace
+
+StatusOr<PackedMupSet> FindMupsAprioriPacked(const BitmapCoverage& oracle,
+                                             const PatternCodec& codec,
+                                             const MupSearchOptions& options,
+                                             MupSearchStats* stats) {
+  return WithKeyWidth(
+      codec, [&]<int W>(std::integral_constant<int, W>)
+                 -> StatusOr<PackedMupSet> {
+        auto mups = Apriori<W>(oracle, codec, options, stats);
+        COVERAGE_RETURN_IF_ERROR(mups.status());
+        return PackedMupSet(codec, *mups);
+      });
 }
 
 StatusOr<std::vector<Pattern>> FindMupsApriori(const BitmapCoverage& oracle,
                                                const MupSearchOptions& options,
                                                MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(oracle.data().schema());
-    if (codec.ok()) {
-      auto packed = FindMupsAprioriPacked(oracle, *codec, options, stats);
-      COVERAGE_RETURN_IF_ERROR(packed.status());
-      std::vector<Pattern> mups;
-      mups.reserve(packed->size());
-      for (const PackedPattern& p : *packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsApriori(oracle, options, stats);
+  return FindMups(MupAlgorithm::kApriori, oracle, options, stats);
 }
 
 }  // namespace coverage

@@ -6,7 +6,6 @@
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "mups/packed_index.h"
 #include "pattern/packed_set.h"
@@ -15,16 +14,18 @@ namespace coverage {
 
 namespace {
 
-/// Covered/uncovered answers with a memo over packed keys; the memo table's
-/// storage comes from the worker's arena, so a dive session costs zero
-/// per-node allocations. See legacy_mups.cc for the role of the cache.
+/// Covered/uncovered answers with a memo over packed keys. Dives and climbs
+/// revisit the same ancestors over and over, so the memo saves most oracle
+/// calls; the table's storage comes from the worker's arena, so a dive
+/// session costs zero per-node allocations.
+template <int W>
 class CachingCoverage {
  public:
   CachingCoverage(const CoverageOracle& oracle, const PatternCodec& codec,
                   std::uint64_t tau, Arena* arena)
       : oracle_(oracle), codec_(codec), tau_(tau), cache_(arena) {}
 
-  bool Covered(const PackedPattern& p) {
+  bool Covered(const PackedPattern<W>& p) {
     if (const bool* hit = cache_.Find(p)) return *hit;
     const bool covered = oracle_.CoverageAtLeast(p, codec_, tau_, ctx_);
     cache_.FindOrInsert(p, covered);
@@ -38,19 +39,21 @@ class CachingCoverage {
   const PatternCodec& codec_;
   const std::uint64_t tau_;
   QueryContext ctx_;
-  PackedPatternMap<bool> cache_;
+  PackedPatternMap<W, bool> cache_;
 };
 
 using DominanceMode = MupSearchOptions::DominanceMode;
 
-/// DominanceMode dispatch over the packed index; mirrors legacy_mups.cc.
-bool ModeIsDominated(const PackedMupIndex& index, DominanceMode mode,
-                     const PackedPattern& p) {
+/// DominanceMode dispatch over the packed index: the Appendix-B bitmap
+/// probe, a linear scan over the discovered MUPs, or no pruning at all.
+template <int W>
+bool ModeIsDominated(const PackedMupIndex<W>& index, DominanceMode mode,
+                     const PackedPattern<W>& p) {
   switch (mode) {
     case DominanceMode::kBitmapIndex:
       return index.IsDominated(p);
     case DominanceMode::kLinearScan: {
-      for (const PackedPattern& m : index.mups()) {
+      for (const PackedPattern<W>& m : index.mups()) {
         if (m.Dominates(p)) return true;
       }
       return false;
@@ -61,13 +64,14 @@ bool ModeIsDominated(const PackedMupIndex& index, DominanceMode mode,
   return false;
 }
 
-bool ModeDominatesSome(const PackedMupIndex& index, DominanceMode mode,
-                       const PackedPattern& p) {
+template <int W>
+bool ModeDominatesSome(const PackedMupIndex<W>& index, DominanceMode mode,
+                       const PackedPattern<W>& p) {
   switch (mode) {
     case DominanceMode::kBitmapIndex:
       return index.DominatesSome(p);
     case DominanceMode::kLinearScan: {
-      for (const PackedPattern& m : index.mups()) {
+      for (const PackedPattern<W>& m : index.mups()) {
         if (p.Dominates(m)) return true;
       }
       return false;
@@ -80,62 +84,68 @@ bool ModeDominatesSome(const PackedMupIndex& index, DominanceMode mode,
 
 /// Discovered-MUP set for the serial search. Membership is exact in every
 /// mode (needed for termination).
+template <int W>
 class DominanceChecker {
  public:
   DominanceChecker(const Schema& schema, const PatternCodec& codec,
                    DominanceMode mode)
       : mode_(mode), index_(schema, codec) {}
 
-  void Add(const PackedPattern& mup) { index_.Add(mup); }
-  bool Contains(const PackedPattern& p) const { return index_.Contains(p); }
-  bool IsDominated(const PackedPattern& p) const {
+  void Add(const PackedPattern<W>& mup) { index_.Add(mup); }
+  bool Contains(const PackedPattern<W>& p) const { return index_.Contains(p); }
+  bool IsDominated(const PackedPattern<W>& p) const {
     return ModeIsDominated(index_, mode_, p);
   }
-  bool DominatesSome(const PackedPattern& p) const {
+  bool DominatesSome(const PackedPattern<W>& p) const {
     return ModeDominatesSome(index_, mode_, p);
   }
-  const std::vector<PackedPattern>& mups() const { return index_.mups(); }
+  const std::vector<PackedPattern<W>>& mups() const { return index_.mups(); }
 
  private:
   DominanceMode mode_;
-  PackedMupIndex index_;
+  PackedMupIndex<W> index_;
 };
 
 /// The same strategies against the reader/writer-locked shared index.
+template <int W>
 class SharedDominanceChecker {
  public:
   SharedDominanceChecker(const Schema& schema, const PatternCodec& codec,
                          DominanceMode mode)
       : mode_(mode), index_(schema, codec) {}
 
-  bool AddIfAbsent(const PackedPattern& mup) {
+  bool AddIfAbsent(const PackedPattern<W>& mup) {
     return index_.AddIfAbsent(mup);
   }
-  bool Contains(const PackedPattern& p) const { return index_.Contains(p); }
-  bool IsDominated(const PackedPattern& p) const {
-    return index_.WithReadLock([&](const PackedMupIndex& idx) {
+  bool Contains(const PackedPattern<W>& p) const { return index_.Contains(p); }
+  bool IsDominated(const PackedPattern<W>& p) const {
+    return index_.WithReadLock([&](const PackedMupIndex<W>& idx) {
       return ModeIsDominated(idx, mode_, p);
     });
   }
-  bool DominatesSome(const PackedPattern& p) const {
-    return index_.WithReadLock([&](const PackedMupIndex& idx) {
+  bool DominatesSome(const PackedPattern<W>& p) const {
+    return index_.WithReadLock([&](const PackedMupIndex<W>& idx) {
       return ModeDominatesSome(idx, mode_, p);
     });
   }
-  std::vector<PackedPattern> Snapshot() const { return index_.Snapshot(); }
+  std::vector<PackedPattern<W>> Snapshot() const { return index_.Snapshot(); }
 
  private:
   DominanceMode mode_;
-  SharedPackedMupIndex index_;
+  SharedPackedMupIndex<W> index_;
 };
 
-/// The shared dive frontier (see legacy_mups.cc). PackedPattern is a small
-/// trivially copyable value, so the stack moves whole keys, not heap cells.
+/// The shared dive frontier of the parallel search: a LIFO stack of
+/// pending nodes plus a count of nodes being processed. Pop blocks while
+/// the stack is empty but some worker may still push children, and returns
+/// false once both are exhausted. PackedPattern is a small trivially
+/// copyable value, so the stack moves whole keys, not heap cells.
+template <int W>
 class DiveQueue {
  public:
-  explicit DiveQueue(const PackedPattern& root) { stack_.push_back(root); }
+  explicit DiveQueue(const PackedPattern<W>& root) { stack_.push_back(root); }
 
-  bool Pop(PackedPattern& out) {
+  bool Pop(PackedPattern<W>& out) {
     std::unique_lock<std::mutex> lock(mu_);
     for (;;) {
       if (!stack_.empty()) {
@@ -152,7 +162,7 @@ class DiveQueue {
     }
   }
 
-  void Push(const PackedPattern* items, std::size_t count) {
+  void Push(const PackedPattern<W>* items, std::size_t count) {
     if (count == 0) return;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -180,23 +190,25 @@ class DiveQueue {
  private:
   std::mutex mu_;
   std::condition_variable cv_;
-  std::vector<PackedPattern> stack_;
+  std::vector<PackedPattern<W>> stack_;
   int active_ = 0;
 };
 
 /// Climbs from an uncovered node through uncovered parents until every
 /// parent is covered; that node is a MUP. Parents are tried in ascending
 /// attribute order (same as Pattern::Parents()), so the climb endpoint — and
-/// with it the query sequence — matches the legacy implementation exactly.
-PackedPattern ClimbToMup(const PackedPattern& start, const PatternCodec& codec,
-                         CachingCoverage& cov) {
-  PackedPattern current = start;
+/// with it the query sequence — is deterministic.
+template <int W>
+PackedPattern<W> ClimbToMup(const PackedPattern<W>& start,
+                            const PatternCodec& codec,
+                            CachingCoverage<W>& cov) {
+  PackedPattern<W> current = start;
   const int d = codec.num_attributes();
   for (;;) {
     bool moved = false;
     for (int i = 0; i < d; ++i) {
       if (!codec.is_deterministic(current, i)) continue;
-      const PackedPattern parent = codec.WithCell(current, i, kWildcard);
+      const PackedPattern<W> parent = codec.WithCell(current, i, kWildcard);
       if (!cov.Covered(parent)) {
         current = parent;
         moved = true;
@@ -208,8 +220,9 @@ PackedPattern ClimbToMup(const PackedPattern& start, const PatternCodec& codec,
 }
 
 /// Appends p's Rule-1 children to `out`; returns how many were generated.
-template <typename Vec>
-std::size_t PushRule1Children(const PackedPattern& p, const PatternCodec& codec,
+template <int W, typename Vec>
+std::size_t PushRule1Children(const PackedPattern<W>& p,
+                              const PatternCodec& codec,
                               const Schema& schema, Vec& out) {
   std::size_t generated = 0;
   const int d = codec.num_attributes();
@@ -224,15 +237,16 @@ std::size_t PushRule1Children(const PackedPattern& p, const PatternCodec& codec,
   return generated;
 }
 
-std::vector<PackedPattern> FindMupsDeepDiverParallelPacked(
+template <int W>
+std::vector<PackedPattern<W>> DeepDiverParallel(
     const CoverageOracle& oracle, const Schema& schema,
     const PatternCodec& codec, const MupSearchOptions& options,
     MupSearchStats* stats) {
   const int d = schema.num_attributes();
   const int max_level = options.max_level < 0 ? d : options.max_level;
 
-  SharedDominanceChecker index(schema, codec, options.dominance_mode);
-  DiveQueue queue(codec.Root());
+  SharedDominanceChecker<W> index(schema, codec, options.dominance_mode);
+  DiveQueue<W> queue(codec.Root<W>());
 
   ThreadPool pool(options.num_threads);
   const int workers = pool.num_workers();
@@ -245,13 +259,13 @@ std::vector<PackedPattern> FindMupsDeepDiverParallelPacked(
 
   pool.RunOnAll([&](int worker) {
     Arena arena;
-    CachingCoverage cov(oracle, codec, options.tau, &arena);
-    std::vector<PackedPattern> children;
+    CachingCoverage<W> cov(oracle, codec, options.tau, &arena);
+    std::vector<PackedPattern<W>> children;
     std::uint64_t generated = 0;
     std::uint64_t pruned = 0;
-    PackedPattern p;
+    PackedPattern<W> p;
     while (queue.Pop(p)) {
-      const DiveQueue::ItemGuard guard(queue);
+      const typename DiveQueue<W>::ItemGuard guard(queue);
       if (index.Contains(p) || index.IsDominated(p)) {
         ++pruned;
         continue;
@@ -280,7 +294,7 @@ std::vector<PackedPattern> FindMupsDeepDiverParallelPacked(
     worker_pruned[static_cast<std::size_t>(worker)] = pruned;
   });
 
-  std::vector<PackedPattern> mups = index.Snapshot();
+  std::vector<PackedPattern<W>> mups = index.Snapshot();
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
   if (stats != nullptr) {
     for (int w = 0; w < workers; ++w) {
@@ -293,23 +307,25 @@ std::vector<PackedPattern> FindMupsDeepDiverParallelPacked(
   return mups;
 }
 
-std::vector<PackedPattern> FindMupsDeepDiverSerialPacked(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats) {
+template <int W>
+std::vector<PackedPattern<W>> DeepDiverSerial(const CoverageOracle& oracle,
+                                              const Schema& schema,
+                                              const PatternCodec& codec,
+                                              const MupSearchOptions& options,
+                                              MupSearchStats* stats) {
   const int d = schema.num_attributes();
   const int max_level = options.max_level < 0 ? d : options.max_level;
 
   Arena arena;
-  CachingCoverage cov(oracle, codec, options.tau, &arena);
-  DominanceChecker index(schema, codec, options.dominance_mode);
-  ArenaVector<PackedPattern> stack(&arena);
-  stack.push_back(codec.Root());
+  CachingCoverage<W> cov(oracle, codec, options.tau, &arena);
+  DominanceChecker<W> index(schema, codec, options.dominance_mode);
+  ArenaVector<PackedPattern<W>> stack(&arena);
+  stack.push_back(codec.Root<W>());
   std::uint64_t nodes_generated = 1;
   std::uint64_t nodes_pruned = 0;
 
   while (!stack.empty()) {
-    const PackedPattern p = stack.back();
+    const PackedPattern<W> p = stack.back();
     stack.pop_back();
 
     if (index.Contains(p) || index.IsDominated(p)) {
@@ -331,11 +347,11 @@ std::vector<PackedPattern> FindMupsDeepDiverSerialPacked(
       continue;
     }
 
-    const PackedPattern mup = ClimbToMup(p, codec, cov);
+    const PackedPattern<W> mup = ClimbToMup(p, codec, cov);
     if (!index.Contains(mup)) index.Add(mup);
   }
 
-  std::vector<PackedPattern> mups = index.mups();
+  std::vector<PackedPattern<W>> mups = index.mups();
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
   if (stats != nullptr) {
     stats->coverage_queries = cov.num_queries();
@@ -348,18 +364,22 @@ std::vector<PackedPattern> FindMupsDeepDiverSerialPacked(
 
 }  // namespace
 
-std::vector<PackedPattern> FindMupsDeepDiverPacked(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats) {
+PackedMupSet FindMupsDeepDiverPacked(const CoverageOracle& oracle,
+                                     const Schema& schema,
+                                     const PatternCodec& codec,
+                                     const MupSearchOptions& options,
+                                     MupSearchStats* stats) {
   Stopwatch timer;
   if (stats != nullptr) stats->Reset();
-  std::vector<PackedPattern> mups =
-      options.num_threads > 1
-          ? FindMupsDeepDiverParallelPacked(oracle, schema, codec, options,
-                                            stats)
-          : FindMupsDeepDiverSerialPacked(oracle, schema, codec, options,
-                                          stats);
+  PackedMupSet mups =
+      WithKeyWidth(codec, [&]<int W>(std::integral_constant<int, W>) {
+        return PackedMupSet(
+            codec, options.num_threads > 1
+                       ? DeepDiverParallel<W>(oracle, schema, codec, options,
+                                              stats)
+                       : DeepDiverSerial<W>(oracle, schema, codec, options,
+                                            stats));
+      });
   if (stats != nullptr) {
     stats->seconds = timer.ElapsedSeconds();
     stats->num_mups = mups.size();
@@ -371,18 +391,10 @@ std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
                                        const Schema& schema,
                                        const MupSearchOptions& options,
                                        MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(schema);
-    if (codec.ok()) {
-      const std::vector<PackedPattern> packed =
-          FindMupsDeepDiverPacked(oracle, schema, *codec, options, stats);
-      std::vector<Pattern> mups;
-      mups.reserve(packed.size());
-      for (const PackedPattern& p : packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsDeepDiver(oracle, schema, options, stats);
+  auto codec = PatternCodec::Build(schema);
+  if (!codec.ok()) return {};
+  return FindMupsDeepDiverPacked(oracle, schema, *codec, options, stats)
+      .Materialize();
 }
 
 }  // namespace coverage

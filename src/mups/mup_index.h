@@ -1,8 +1,6 @@
 #ifndef COVERAGE_MUPS_MUP_INDEX_H_
 #define COVERAGE_MUPS_MUP_INDEX_H_
 
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -14,12 +12,14 @@
 namespace coverage {
 
 /// The MUP-dominance index of Appendix B: per attribute, one bit vector per
-/// value plus one for "wildcard here", with one bit per discovered MUP.
-/// DEEPDIVER consults it on every pop, so both checks are word-wise AND /
-/// OR-AND chains over the discovered set.
+/// value plus one for "wildcard here", with one bit per discovered MUP, so
+/// both checks are word-wise AND / OR-AND chains over the discovered set.
+/// This is the vector<int>-keyed form, used by the cluster merge
+/// (distributed_audit.cc), which walks Pattern results; the searches and the
+/// engine use the same design over packed keys (PackedMupIndex in
+/// packed_index.h).
 ///
-/// Thread-safety: none — wrap in SharedMupDominanceIndex (below) for
-/// concurrent use. Complexity: Add/Remove are O(Σ(cᵢ+1)) slot updates;
+/// Thread-safety: none. Complexity: Add/Remove are O(Σ(cᵢ+1)) slot updates;
 /// IsDominated / DominatesSome are O(d·⌈m/64⌉) word operations over m
 /// registered MUPs, with a zero-accumulator early exit.
 ///
@@ -100,61 +100,6 @@ class MupDominanceIndex {
   /// membership set). Kept positional so Remove can swap-with-last.
   std::unordered_map<Pattern, std::size_t, PatternHash> member_index_;
   std::size_t reserved_bits_ = 0;  // bits all slots have capacity for
-};
-
-/// Reader/writer-locked facade over MupDominanceIndex for the parallel
-/// DEEPDIVER: dominance probes (the overwhelming majority of accesses) take
-/// a shared lock and run concurrently; discovering a MUP takes the exclusive
-/// lock for the index update. MupDominanceIndex's query methods keep all
-/// per-call state on the stack, so concurrent readers are safe by
-/// construction.
-class SharedMupDominanceIndex {
- public:
-  explicit SharedMupDominanceIndex(const Schema& schema) : index_(schema) {}
-
-  /// Registers `mup` unless an equal pattern is already present (two workers
-  /// can climb to the same MUP concurrently). Returns true iff inserted.
-  bool AddIfAbsent(const Pattern& mup) {
-    std::unique_lock lock(mu_);
-    if (index_.Contains(mup)) return false;
-    index_.Add(mup);
-    return true;
-  }
-
-  /// Runs `fn(const MupDominanceIndex&)` under the shared lock and returns
-  /// its result; the general form behind the convenience probes below and
-  /// the linear-scan ablation mode.
-  template <typename Fn>
-  auto WithReadLock(Fn&& fn) const {
-    std::shared_lock lock(mu_);
-    return fn(static_cast<const MupDominanceIndex&>(index_));
-  }
-
-  bool Contains(const Pattern& p) const {
-    return WithReadLock([&](const MupDominanceIndex& i) {
-      return i.Contains(p);
-    });
-  }
-  bool IsDominated(const Pattern& p) const {
-    return WithReadLock([&](const MupDominanceIndex& i) {
-      return i.IsDominated(p);
-    });
-  }
-  bool DominatesSome(const Pattern& p) const {
-    return WithReadLock([&](const MupDominanceIndex& i) {
-      return i.DominatesSome(p);
-    });
-  }
-
-  /// Copy of the discovered set; call after the workers have joined.
-  std::vector<Pattern> Snapshot() const {
-    std::shared_lock lock(mu_);
-    return index_.mups();
-  }
-
- private:
-  mutable std::shared_mutex mu_;
-  MupDominanceIndex index_;
 };
 
 }  // namespace coverage

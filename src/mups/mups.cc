@@ -115,69 +115,48 @@ StatusOr<std::vector<Pattern>> FindMups(MupAlgorithm algorithm,
                                         const BitmapCoverage& oracle,
                                         const MupSearchOptions& options,
                                         MupSearchStats* stats) {
-  switch (algorithm) {
-    case MupAlgorithm::kNaive:
-      return FindMupsNaive(oracle, oracle.data().schema(), options, stats);
-    case MupAlgorithm::kPatternBreaker:
-      return FindMupsPatternBreaker(oracle, options, stats);
-    case MupAlgorithm::kPatternCombiner:
-      return FindMupsPatternCombiner(oracle, options, stats);
-    case MupAlgorithm::kDeepDiver:
-      return FindMupsDeepDiver(oracle, options, stats);
-    case MupAlgorithm::kApriori:
-      return FindMupsApriori(oracle, options, stats);
-    case MupAlgorithm::kAuto: {
-      const PlannerDecision decision = PlanMupSearch(oracle.data(), options);
-      MupSearchOptions resolved = options;
-      resolved.max_level = decision.max_level;
-      resolved.num_threads = decision.num_threads;
-      return FindMups(decision.algorithm, oracle, resolved, stats);
-    }
+  if (algorithm == MupAlgorithm::kNaive) {
+    return FindMupsNaive(oracle, oracle.data().schema(), options, stats);
   }
-  return Status::InvalidArgument("unknown MUP algorithm");
+  auto packed = FindMupsPacked(algorithm, oracle, options, stats);
+  COVERAGE_RETURN_IF_ERROR(packed.status());
+  return packed->Materialize();
+}
+
+std::vector<Pattern> PackedMupSet::Materialize() const {
+  std::vector<Pattern> out;
+  out.reserve(size());
+  for (std::size_t i = 0; i < size(); ++i) {
+    out.push_back(codec_.Decode((*this)[i]));
+  }
+  return out;
 }
 
 StatusOr<PackedMupSet> FindMupsPacked(MupAlgorithm algorithm,
                                       const BitmapCoverage& oracle,
                                       const MupSearchOptions& options,
                                       MupSearchStats* stats) {
-  auto codec = PatternCodec::Build(oracle.data().schema());
+  const Schema& schema = oracle.data().schema();
+  auto codec = PatternCodec::Build(schema);
   COVERAGE_RETURN_IF_ERROR(codec.status());
-  PackedMupSet result;
-  result.codec = std::move(*codec);
   switch (algorithm) {
     case MupAlgorithm::kNaive: {
-      // NAIVE has no packed core; compute legacy-side and encode.
-      auto mups =
-          FindMupsNaive(oracle, oracle.data().schema(), options, stats);
+      // NAIVE has no packed core; compute on vector<int> and encode.
+      auto mups = FindMupsNaive(oracle, schema, options, stats);
       COVERAGE_RETURN_IF_ERROR(mups.status());
-      result.mups.reserve(mups->size());
-      for (const Pattern& p : *mups) {
-        result.mups.push_back(result.codec.Encode(p));
-      }
+      PackedMupSet result(std::move(*codec));
+      for (const Pattern& p : *mups) result.Append(p.cells());
       return result;
     }
     case MupAlgorithm::kPatternBreaker:
-      result.mups = FindMupsPatternBreakerPacked(
-          oracle, oracle.data().schema(), result.codec, options, stats);
-      return result;
-    case MupAlgorithm::kPatternCombiner: {
-      auto mups =
-          FindMupsPatternCombinerPacked(oracle, result.codec, options, stats);
-      COVERAGE_RETURN_IF_ERROR(mups.status());
-      result.mups = std::move(*mups);
-      return result;
-    }
+      return FindMupsPatternBreakerPacked(oracle, schema, *codec, options,
+                                          stats);
+    case MupAlgorithm::kPatternCombiner:
+      return FindMupsPatternCombinerPacked(oracle, *codec, options, stats);
     case MupAlgorithm::kDeepDiver:
-      result.mups = FindMupsDeepDiverPacked(oracle, oracle.data().schema(),
-                                            result.codec, options, stats);
-      return result;
-    case MupAlgorithm::kApriori: {
-      auto mups = FindMupsAprioriPacked(oracle, result.codec, options, stats);
-      COVERAGE_RETURN_IF_ERROR(mups.status());
-      result.mups = std::move(*mups);
-      return result;
-    }
+      return FindMupsDeepDiverPacked(oracle, schema, *codec, options, stats);
+    case MupAlgorithm::kApriori:
+      return FindMupsAprioriPacked(oracle, *codec, options, stats);
     case MupAlgorithm::kAuto: {
       const PlannerDecision decision = PlanMupSearch(oracle.data(), options);
       MupSearchOptions resolved = options;

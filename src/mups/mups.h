@@ -2,7 +2,9 @@
 #define COVERAGE_MUPS_MUPS_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -53,17 +55,6 @@ struct MupSearchOptions {
   /// synchronised — it must belong to the calling thread. Other algorithms
   /// ignore it.
   obs::Trace* trace = nullptr;
-
-  /// When true (the default) the searches run on the PackedPattern
-  /// representation — fixed-width keys, O(words) hash/equality/dominance,
-  /// arena-allocated BFS frontiers — whenever the schema fits a PatternCodec
-  /// (PackedPattern::kMaxWords * 64 bits). Schemas too wide to pack fall
-  /// back to the legacy vector<int> implementations automatically. Setting
-  /// this to false forces the legacy path; the differential suite uses the
-  /// switch to prove the two representations bit-identical, and it doubles
-  /// as an escape hatch. Output and per-algorithm query counts are identical
-  /// either way.
-  bool use_packed_representation = true;
 };
 
 /// Instrumentation filled in by each search; the paper's efficiency argument
@@ -173,6 +164,11 @@ StatusOr<std::vector<Pattern>> FindMupsNaive(const CoverageOracle& oracle,
 /// D = {1101, 1110}, τ = 1 wrongly emits 1100 next to the real MUP XX00).
 /// Tracking covered candidates restores the intended invariant: a node's
 /// coverage is computed only if all its parents are verified covered.
+///
+/// Like FindMupsDeepDiver, this cannot report an error: the schema must fit
+/// a pattern key (PatternCodec::Build succeeds). A wider schema yields an
+/// empty set; CoverageService and CoverageEngine::Create reject such schemas
+/// with kResourceExhausted before any search runs.
 std::vector<Pattern> FindMupsPatternBreaker(const CoverageOracle& oracle,
                                             const Schema& schema,
                                             const MupSearchOptions& options,
@@ -198,7 +194,7 @@ StatusOr<std::vector<Pattern>> FindMupsPatternCombiner(
 /// §III-E, Algorithm 3: DFS dive to an uncovered node, climb to a MUP, prune
 /// everything dominating or dominated by discovered MUPs (via the Appendix-B
 /// inverted indices; see MupSearchOptions::dominance_mode for the ablation
-/// alternatives).
+/// alternatives). Same schema precondition as FindMupsPatternBreaker.
 std::vector<Pattern> FindMupsDeepDiver(const CoverageOracle& oracle,
                                        const Schema& schema,
                                        const MupSearchOptions& options,
@@ -225,50 +221,87 @@ StatusOr<std::vector<Pattern>> FindMups(MupAlgorithm algorithm,
                                         MupSearchStats* stats = nullptr);
 
 // ---------------------------------------------------------------------------
-// Packed-representation entry points. The FindMups* functions above already
-// run on PackedPattern internally (and decode at the boundary); these let
-// callers that can consume packed results — the service/wire layer, the
-// benchmarks, the differential suite — skip the decode entirely.
+// Packed-representation entry points. The FindMups* functions above run on
+// packed keys internally and decode at the boundary; these let callers that
+// can consume packed results — the service/wire layer, the benchmarks — skip
+// the decode entirely.
 
-/// A MUP set in packed form plus the codec that gives the keys meaning.
-/// `mups` is sorted in the same lexicographic cell order FindMups reports.
-struct PackedMupSet {
-  PatternCodec codec;
-  std::vector<PackedPattern> mups;
-
-  std::vector<Pattern> Materialize() const {
-    std::vector<Pattern> out;
-    out.reserve(mups.size());
-    for (const PackedPattern& p : mups) out.push_back(codec.Decode(p));
-    return out;
+/// A MUP set in packed form plus the codec that gives the keys meaning,
+/// sorted in the same lexicographic cell order FindMups reports. Keys are
+/// stored width-free — codec().num_words() value words, then as many
+/// deterministic-mask words, per key — and read back as PackedKeyView, so
+/// consumers never depend on the key width.
+class PackedMupSet {
+ public:
+  explicit PackedMupSet(PatternCodec codec) : codec_(std::move(codec)) {}
+  template <int W>
+  PackedMupSet(PatternCodec codec, const std::vector<PackedPattern<W>>& keys)
+      : codec_(std::move(codec)) {
+    words_.reserve(keys.size() * 2 * stride());
+    for (const PackedPattern<W>& key : keys) Append(key);
   }
+
+  const PatternCodec& codec() const { return codec_; }
+  std::size_t size() const { return words_.size() / (2 * stride()); }
+  bool empty() const { return words_.empty(); }
+
+  PackedKeyView operator[](std::size_t i) const {
+    const std::uint64_t* key = words_.data() + i * 2 * stride();
+    return {key, key + stride()};
+  }
+
+  template <int W>
+  void Append(const PackedPattern<W>& key) {
+    const PackedKeyView view = key;
+    words_.insert(words_.end(), view.words, view.words + stride());
+    words_.insert(words_.end(), view.det, view.det + stride());
+  }
+
+  /// Appends the pattern with these cells (kWildcard allowed).
+  void Append(std::span<const Value> cells) {
+    words_.resize(words_.size() + 2 * stride(), 0);
+    std::uint64_t* key = words_.data() + words_.size() - 2 * stride();
+    codec_.EncodeCells(cells, key, key + stride());
+  }
+
+  std::vector<Pattern> Materialize() const;
+
+ private:
+  std::size_t stride() const {
+    return static_cast<std::size_t>(codec_.num_words());
+  }
+
+  PatternCodec codec_;
+  std::vector<std::uint64_t> words_;
 };
 
-/// Packed cores of the individual algorithms. `codec` must have been built
-/// from the oracle's schema. Results are sorted (same order as the public
-/// entry points); stats are filled identically.
-std::vector<PackedPattern> FindMupsPatternBreakerPacked(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats = nullptr);
+/// The algorithms over an already-built codec (which must come from the
+/// oracle's schema). Results are sorted (same order as the public entry
+/// points); stats are filled identically.
+PackedMupSet FindMupsPatternBreakerPacked(const CoverageOracle& oracle,
+                                          const Schema& schema,
+                                          const PatternCodec& codec,
+                                          const MupSearchOptions& options,
+                                          MupSearchStats* stats = nullptr);
 
-std::vector<PackedPattern> FindMupsDeepDiverPacked(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats = nullptr);
+PackedMupSet FindMupsDeepDiverPacked(const CoverageOracle& oracle,
+                                     const Schema& schema,
+                                     const PatternCodec& codec,
+                                     const MupSearchOptions& options,
+                                     MupSearchStats* stats = nullptr);
 
-StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
+StatusOr<PackedMupSet> FindMupsPatternCombinerPacked(
     const BitmapCoverage& oracle, const PatternCodec& codec,
     const MupSearchOptions& options, MupSearchStats* stats = nullptr);
 
-StatusOr<std::vector<PackedPattern>> FindMupsAprioriPacked(
-    const BitmapCoverage& oracle, const PatternCodec& codec,
-    const MupSearchOptions& options, MupSearchStats* stats = nullptr);
+StatusOr<PackedMupSet> FindMupsAprioriPacked(const BitmapCoverage& oracle,
+                                             const PatternCodec& codec,
+                                             const MupSearchOptions& options,
+                                             MupSearchStats* stats = nullptr);
 
 /// Dispatch on `algorithm` returning packed results (NAIVE, which has no
-/// packed core, is computed legacy-side and encoded). Fails with
-/// kResourceExhausted if the schema does not fit a PatternCodec — callers
-/// fall back to FindMups, which handles wide schemas via the legacy path.
+/// packed core, is computed on vector<int> patterns and encoded). Fails with
+/// kResourceExhausted if the schema needs more than kMaxPackedKeyBits.
 StatusOr<PackedMupSet> FindMupsPacked(MupAlgorithm algorithm,
                                       const BitmapCoverage& oracle,
                                       const MupSearchOptions& options,

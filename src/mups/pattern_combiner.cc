@@ -6,14 +6,16 @@
 #include "common/arena.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "mups/legacy_mups.h"
 #include "mups/mups.h"
 #include "pattern/packed_set.h"
 #include "pattern/pattern_ops.h"
 
 namespace coverage {
 
-StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
+namespace {
+
+template <int W>
+StatusOr<std::vector<PackedPattern<W>>> PatternCombiner(
     const BitmapCoverage& oracle, const PatternCodec& codec,
     const MupSearchOptions& options, MupSearchStats* stats) {
   Stopwatch timer;
@@ -35,12 +37,12 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
   Arena* cur_arena = &map_arenas[0];
   Arena* next_arena = &map_arenas[1];
 
-  // Level-d pass: identical sharding and enumeration order to the legacy
-  // implementation (see legacy_mups.cc); only the key representation differs,
-  // and the map contents are order-independent.
+  // Level-d pass: one count per full combination, sharded over blocks of
+  // the leading attributes' values when parallel. The map contents are
+  // order-independent, so the result does not depend on the sharding.
   std::uint64_t nodes_generated = 0;
   std::uint64_t level_d_queries = 0;
-  PackedPatternMap<std::uint64_t> count(cur_arena);
+  PackedPatternMap<W, std::uint64_t> count(cur_arena);
   const int num_workers = options.num_threads > 1 ? options.num_threads : 1;
   std::uint64_t num_blocks = 1;
   int prefix_len = 0;
@@ -50,7 +52,8 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
     ++prefix_len;
   }
   if (num_workers > 1 && num_blocks > 1) {
-    using Uncovered = std::vector<std::pair<PackedPattern, std::uint64_t>>;
+    using Uncovered =
+        std::vector<std::pair<PackedPattern<W>, std::uint64_t>>;
     std::vector<Uncovered> block_uncovered(num_blocks);
     std::vector<std::uint64_t> block_nodes(num_blocks, 0);
     ThreadPool pool(num_workers);
@@ -69,7 +72,8 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
                 ++block_nodes[b];
                 const std::uint64_t c = data.CountOf(combo);
                 if (c < options.tau) {
-                  block_uncovered[b].emplace_back(codec.EncodeTuple(combo), c);
+                  block_uncovered[b].emplace_back(
+                      codec.EncodeTuple<W>(combo), c);
                 }
               });
           // Cannot fire: the whole space already passed the upfront guard.
@@ -90,13 +94,13 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
           ++level_d_queries;
           const std::uint64_t c = data.CountOf(combo);
           if (c < options.tau) {
-            count.FindOrInsert(codec.EncodeTuple(combo), c);
+            count.FindOrInsert(codec.EncodeTuple<W>(combo), c);
           }
         });
     COVERAGE_RETURN_IF_ERROR(st);
   }
 
-  std::vector<PackedPattern> mups;
+  std::vector<PackedPattern<W>> mups;
   if (count.size() != 0) {
     for (int level = d; level >= 0; --level) {
       // Combine: generate the uncovered candidates one level up. Each parent
@@ -105,15 +109,15 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
       // children absent from `count` are covered and contribute at least τ
       // (capped — only the "< τ" outcome matters).
       next_arena->Reset();
-      PackedPatternMap<std::uint64_t> next_count(next_arena);
-      count.ForEach([&](const PackedPattern& p, const std::uint64_t& cnt) {
+      PackedPatternMap<W, std::uint64_t> next_count(next_arena);
+      count.ForEach([&](const PackedPattern<W>& p, const std::uint64_t& cnt) {
         (void)cnt;
         // Rule-2 parents: wildcard a 0-valued cell right of the right-most
         // wildcard, so each parent is generated by exactly one child.
         const int start = codec.RightmostWildcard(p) + 1;
         for (int i = start; i < d; ++i) {
           if (codec.cell(p, i) != 0) continue;
-          const PackedPattern parent = codec.WithCell(p, i, kWildcard);
+          const PackedPattern<W> parent = codec.WithCell(p, i, kWildcard);
           ++nodes_generated;
           const int pivot = codec.RightmostWildcard(parent);
           std::uint64_t sum = 0;
@@ -136,7 +140,7 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
         }
       });
       // A node at this level is a MUP iff none of its parents is uncovered.
-      count.ForEach([&](const PackedPattern& p, const std::uint64_t& cnt) {
+      count.ForEach([&](const PackedPattern<W>& p, const std::uint64_t& cnt) {
         (void)cnt;
         if (options.max_level >= 0 && p.level() > options.max_level) return;
         for (int i = 0; i < d; ++i) {
@@ -163,22 +167,24 @@ StatusOr<std::vector<PackedPattern>> FindMupsPatternCombinerPacked(
   return mups;
 }
 
+}  // namespace
+
+StatusOr<PackedMupSet> FindMupsPatternCombinerPacked(
+    const BitmapCoverage& oracle, const PatternCodec& codec,
+    const MupSearchOptions& options, MupSearchStats* stats) {
+  return WithKeyWidth(
+      codec, [&]<int W>(std::integral_constant<int, W>)
+                 -> StatusOr<PackedMupSet> {
+        auto mups = PatternCombiner<W>(oracle, codec, options, stats);
+        COVERAGE_RETURN_IF_ERROR(mups.status());
+        return PackedMupSet(codec, *mups);
+      });
+}
+
 StatusOr<std::vector<Pattern>> FindMupsPatternCombiner(
     const BitmapCoverage& oracle, const MupSearchOptions& options,
     MupSearchStats* stats) {
-  if (options.use_packed_representation) {
-    auto codec = PatternCodec::Build(oracle.data().schema());
-    if (codec.ok()) {
-      auto packed =
-          FindMupsPatternCombinerPacked(oracle, *codec, options, stats);
-      COVERAGE_RETURN_IF_ERROR(packed.status());
-      std::vector<Pattern> mups;
-      mups.reserve(packed->size());
-      for (const PackedPattern& p : *packed) mups.push_back(codec->Decode(p));
-      return mups;
-    }
-  }
-  return legacy::FindMupsPatternCombiner(oracle, options, stats);
+  return FindMups(MupAlgorithm::kPatternCombiner, oracle, options, stats);
 }
 
 }  // namespace coverage

@@ -16,26 +16,17 @@ StatusOr<PatternCodec> PatternCodec::Build(const Schema& schema) {
 
   int word = 0;
   int shift = 0;
-  std::size_t total_bits = 0;
   for (int attr = 0; attr < d; ++attr) {
     const int c = schema.cardinality(attr);
     assert(c >= 1);
     // c + 1 codes: values 0..c-1 plus the all-ones wildcard.
     const int bits = std::bit_width(static_cast<unsigned>(c));
-    total_bits += static_cast<std::size_t>(bits);
     if (shift + bits > 64) {  // fields never straddle a word boundary
       ++word;
       shift = 0;
     }
-    if (word >= PackedPattern::kMaxWords) {
-      return Status::ResourceExhausted(
-          "schema needs " + std::to_string(total_bits) +
-          "+ packed bits across " + std::to_string(d) +
-          " attributes; PackedPattern holds " +
-          std::to_string(PackedPattern::kMaxWords * 64));
-    }
     Field f;
-    f.word = static_cast<std::uint8_t>(word);
+    f.word = static_cast<std::uint8_t>(word);  // checked against the cap below
     f.shift = static_cast<std::uint8_t>(shift);
     f.bits = static_cast<std::uint8_t>(bits);
     f.low_mask = (bits == 64) ? ~std::uint64_t{0}
@@ -43,7 +34,21 @@ StatusOr<PatternCodec> PatternCodec::Build(const Schema& schema) {
     codec.fields_.push_back(f);
     shift += bits;
   }
+  const int needed_bits = word * 64 + shift;
+  if (needed_bits > kMaxPackedKeyBits) {
+    return Status::ResourceExhausted(
+        "schema needs " + std::to_string(needed_bits) +
+        " pattern-key bits across " + std::to_string(d) +
+        " attributes; pattern keys hold at most " +
+        std::to_string(kMaxPackedKeyBits));
+  }
   codec.num_words_ = d == 0 ? 1 : word + 1;
+  for (const int width : kPackedKeyWidths) {
+    if (codec.num_words_ <= width) {
+      codec.key_words_ = width;
+      break;
+    }
+  }
 
   codec.attr_of_bit_.assign(
       static_cast<std::size_t>(codec.num_words_) * 64, std::int16_t{-1});
@@ -57,44 +62,25 @@ StatusOr<PatternCodec> PatternCodec::Build(const Schema& schema) {
   return codec;
 }
 
-PackedPattern PatternCodec::Root() const {
-  PackedPattern root;
-  for (int w = 0; w < num_words_; ++w) root.words_[w] = layout_[w];
-  return root;
-}
-
-PackedPattern PatternCodec::Encode(const Pattern& pattern) const {
-  assert(pattern.num_attributes() == num_attributes());
-  PackedPattern out;
+int PatternCodec::EncodeCells(std::span<const Value> cells,
+                              std::uint64_t* words, std::uint64_t* det) const {
+  assert(static_cast<int>(cells.size()) == num_attributes());
   int level = 0;
   for (int attr = 0; attr < num_attributes(); ++attr) {
     const Field& f = fields_[static_cast<std::size_t>(attr)];
-    const Value v = pattern.cell(attr);
+    const Value v = cells[static_cast<std::size_t>(attr)];
     if (v == kWildcard) {
-      out.words_[f.word] |= f.low_mask << f.shift;
+      words[f.word] |= f.low_mask << f.shift;
     } else {
-      out.words_[f.word] |= static_cast<std::uint64_t>(v) << f.shift;
-      out.det_[f.word] |= f.low_mask << f.shift;
+      words[f.word] |= static_cast<std::uint64_t>(v) << f.shift;
+      det[f.word] |= f.low_mask << f.shift;
       ++level;
     }
   }
-  out.level_ = static_cast<std::int16_t>(level);
-  return out;
+  return level;
 }
 
-PackedPattern PatternCodec::EncodeTuple(std::span<const Value> tuple) const {
-  assert(static_cast<int>(tuple.size()) == num_attributes());
-  PackedPattern out;
-  for (int attr = 0; attr < num_attributes(); ++attr) {
-    const Field& f = fields_[static_cast<std::size_t>(attr)];
-    out.words_[f.word] |= static_cast<std::uint64_t>(tuple[attr]) << f.shift;
-    out.det_[f.word] |= f.low_mask << f.shift;
-  }
-  out.level_ = static_cast<std::int16_t>(num_attributes());
-  return out;
-}
-
-Pattern PatternCodec::Decode(const PackedPattern& packed) const {
+Pattern PatternCodec::Decode(PackedKeyView packed) const {
   std::vector<Value> cells(static_cast<std::size_t>(num_attributes()));
   for (int attr = 0; attr < num_attributes(); ++attr) {
     cells[static_cast<std::size_t>(attr)] = cell(packed, attr);
@@ -102,9 +88,17 @@ Pattern PatternCodec::Decode(const PackedPattern& packed) const {
   return Pattern(std::move(cells));
 }
 
-int PatternCodec::RightmostDeterministic(const PackedPattern& p) const {
+int PatternCodec::level(PackedKeyView p) const {
+  int level = 0;
+  for (int w = 0; w < num_words_; ++w) {
+    level += std::popcount(p.det[w] & first_bits_[w]);
+  }
+  return level;
+}
+
+int PatternCodec::RightmostDeterministic(PackedKeyView p) const {
   for (int w = num_words_ - 1; w >= 0; --w) {
-    const std::uint64_t bits = p.det_[w] & first_bits_[w];
+    const std::uint64_t bits = p.det[w] & first_bits_[w];
     if (bits != 0) {
       const int bit = 63 - std::countl_zero(bits);
       return attr_of_bit_[static_cast<std::size_t>(w * 64 + bit)];
@@ -113,9 +107,9 @@ int PatternCodec::RightmostDeterministic(const PackedPattern& p) const {
   return -1;
 }
 
-int PatternCodec::RightmostWildcard(const PackedPattern& p) const {
+int PatternCodec::RightmostWildcard(PackedKeyView p) const {
   for (int w = num_words_ - 1; w >= 0; --w) {
-    const std::uint64_t bits = (layout_[w] & ~p.det_[w]) & first_bits_[w];
+    const std::uint64_t bits = (layout_[w] & ~p.det[w]) & first_bits_[w];
     if (bits != 0) {
       const int bit = 63 - std::countl_zero(bits);
       return attr_of_bit_[static_cast<std::size_t>(w * 64 + bit)];
@@ -124,7 +118,7 @@ int PatternCodec::RightmostWildcard(const PackedPattern& p) const {
   return -1;
 }
 
-std::string PatternCodec::ToString(const PackedPattern& p) const {
+std::string PatternCodec::ToString(PackedKeyView p) const {
   std::string out;
   out.reserve(static_cast<std::size_t>(num_attributes()));
   for (int attr = 0; attr < num_attributes(); ++attr) {
@@ -142,7 +136,7 @@ std::string PatternCodec::ToString(const PackedPattern& p) const {
   return out;
 }
 
-std::string PatternCodec::ToLabelledString(const PackedPattern& p,
+std::string PatternCodec::ToLabelledString(PackedKeyView p,
                                            const Schema& schema) const {
   assert(schema.num_attributes() == num_attributes());
   std::string out;
@@ -157,7 +151,7 @@ std::string PatternCodec::ToLabelledString(const PackedPattern& p,
   return out.empty() ? "<any>" : out;
 }
 
-bool PatternCodec::Less(const PackedPattern& a, const PackedPattern& b) const {
+bool PatternCodec::Less(PackedKeyView a, PackedKeyView b) const {
   for (int attr = 0; attr < num_attributes(); ++attr) {
     const Value va = cell(a, attr);
     const Value vb = cell(b, attr);

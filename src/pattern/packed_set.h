@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "common/arena.h"
@@ -11,7 +12,7 @@
 
 namespace coverage {
 
-/// Open-addressing hash set of PackedPattern keys, storage carved from an
+/// Open-addressing hash set of PackedPattern<W> keys, storage carved from an
 /// Arena. Linear probing over a power-of-two table with a parallel byte of
 /// occupancy state — the all-zero pattern is a legal key, so there is no
 /// in-band empty sentinel. Rehashing allocates fresh arrays and strands the
@@ -20,8 +21,11 @@ namespace coverage {
 ///
 /// No erase: the search frontiers only ever insert, and dropping tombstone
 /// logic keeps the probe loop two compares long.
+template <int W>
 class PackedPatternSet {
  public:
+  using Key = PackedPattern<W>;
+
   explicit PackedPatternSet(Arena* arena, std::size_t expected = 0)
       : arena_(arena) {
     std::size_t capacity = kMinCapacity;
@@ -30,7 +34,7 @@ class PackedPatternSet {
   }
 
   /// Inserts `key`; returns false if it was already present.
-  bool Insert(const PackedPattern& key) {
+  bool Insert(const Key& key) {
     if ((size_ + 1) * kMaxLoadDen > capacity_ * kMaxLoadNum) Rehash();
     std::size_t i = key.Hash() & (capacity_ - 1);
     while (states_[i] != 0) {
@@ -43,7 +47,7 @@ class PackedPatternSet {
     return true;
   }
 
-  bool Contains(const PackedPattern& key) const {
+  bool Contains(const Key& key) const {
     std::size_t i = key.Hash() & (capacity_ - 1);
     while (states_[i] != 0) {
       if (keys_[i] == key) return true;
@@ -57,13 +61,13 @@ class PackedPatternSet {
  private:
   void AllocateTable(std::size_t capacity) {
     capacity_ = capacity;
-    keys_ = arena_->AllocateArray<PackedPattern>(capacity);
+    keys_ = arena_->AllocateArray<Key>(capacity);
     states_ = arena_->AllocateArray<std::uint8_t>(capacity);
     std::memset(states_, 0, capacity);
   }
 
   void Rehash() {
-    const PackedPattern* old_keys = keys_;
+    const Key* old_keys = keys_;
     const std::uint8_t* old_states = states_;
     const std::size_t old_capacity = capacity_;
     AllocateTable(capacity_ * 2);
@@ -81,19 +85,21 @@ class PackedPatternSet {
   static constexpr std::size_t kMaxLoadDen = 10;
 
   Arena* arena_;
-  PackedPattern* keys_ = nullptr;
+  Key* keys_ = nullptr;
   std::uint8_t* states_ = nullptr;
   std::size_t capacity_ = 0;
   std::size_t size_ = 0;
 };
 
-/// Open-addressing map from PackedPattern to a trivially copyable value;
+/// Open-addressing map from PackedPattern<W> to a trivially copyable value;
 /// same layout and lifetime story as PackedPatternSet.
-template <typename V>
+template <int W, typename V>
 class PackedPatternMap {
   static_assert(std::is_trivially_copyable_v<V>);
 
  public:
+  using Key = PackedPattern<W>;
+
   explicit PackedPatternMap(Arena* arena, std::size_t expected = 0)
       : arena_(arena) {
     std::size_t capacity = kMinCapacity;
@@ -102,7 +108,7 @@ class PackedPatternMap {
   }
 
   /// Returns the value slot for `key`, inserting `initial` first if absent.
-  V& FindOrInsert(const PackedPattern& key, const V& initial) {
+  V& FindOrInsert(const Key& key, const V& initial) {
     if ((size_ + 1) * kMaxLoadDen > capacity_ * kMaxLoadNum) Rehash();
     std::size_t i = key.Hash() & (capacity_ - 1);
     while (states_[i] != 0) {
@@ -117,7 +123,7 @@ class PackedPatternMap {
   }
 
   /// Returns the value for `key`, or nullptr.
-  const V* Find(const PackedPattern& key) const {
+  const V* Find(const Key& key) const {
     std::size_t i = key.Hash() & (capacity_ - 1);
     while (states_[i] != 0) {
       if (keys_[i] == key) return &values_[i];
@@ -140,14 +146,14 @@ class PackedPatternMap {
  private:
   void AllocateTable(std::size_t capacity) {
     capacity_ = capacity;
-    keys_ = arena_->AllocateArray<PackedPattern>(capacity);
+    keys_ = arena_->AllocateArray<Key>(capacity);
     values_ = arena_->AllocateArray<V>(capacity);
     states_ = arena_->AllocateArray<std::uint8_t>(capacity);
     std::memset(states_, 0, capacity);
   }
 
   void Rehash() {
-    const PackedPattern* old_keys = keys_;
+    const Key* old_keys = keys_;
     const V* old_values = values_;
     const std::uint8_t* old_states = states_;
     const std::size_t old_capacity = capacity_;
@@ -167,7 +173,7 @@ class PackedPatternMap {
   static constexpr std::size_t kMaxLoadDen = 10;
 
   Arena* arena_;
-  PackedPattern* keys_ = nullptr;
+  Key* keys_ = nullptr;
   V* values_ = nullptr;
   std::uint8_t* states_ = nullptr;
   std::size_t capacity_ = 0;

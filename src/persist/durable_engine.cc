@@ -60,6 +60,9 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Create(
     const std::string& dir, const Schema& schema, EngineOptions engine_opts,
     DurableEngineOptions opts) {
   COVERAGE_RETURN_IF_ERROR(opts.Validate());
+  if (engine_opts.num_threads < 1) engine_opts.num_threads = 1;
+  auto engine = CoverageEngine::Create(schema, engine_opts);
+  if (!engine.ok()) return engine.status();
   FileSystem* fs = opts.fs != nullptr ? opts.fs : FileSystem::Default();
   COVERAGE_RETURN_IF_ERROR(fs->CreateDirs(dir));
   auto listing = ListSessionDir(fs, dir);
@@ -69,10 +72,9 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Create(
                                    "' already holds a durable session; use "
                                    "Recover to reopen it");
   }
-  if (engine_opts.num_threads < 1) engine_opts.num_threads = 1;
 
-  auto durable = std::unique_ptr<DurableEngine>(new DurableEngine(
-      dir, opts, std::make_unique<CoverageEngine>(schema, engine_opts)));
+  auto durable = std::unique_ptr<DurableEngine>(
+      new DurableEngine(dir, opts, std::move(*engine)));
   std::lock_guard<std::mutex> lock(durable->mu_);
   COVERAGE_RETURN_IF_ERROR(durable->RotateWalLocked());
   return durable;
@@ -107,6 +109,11 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Recover(
         engine = std::move(*restored);
         recovery.snapshot_epoch = *it;
         continue;
+      }
+      // A schema too wide for a pattern key is not corruption: every
+      // generation shares it, so there is nothing to fall back to.
+      if (restored.status().code() == StatusCode::kResourceExhausted) {
+        return restored.status();
       }
       ++recovery.snapshots_discarded;
       recovery.warnings.push_back("discarded snapshot '" + path +
@@ -152,8 +159,9 @@ StatusOr<std::unique_ptr<DurableEngine>> DurableEngine::Recover(
           stored_options.num_threads =
               runtime.num_threads >= 1 ? runtime.num_threads : 1;
           stored_options.durability = runtime.durability;
-          engine = std::make_unique<CoverageEngine>(stored_schema,
-                                                    stored_options);
+          auto created = CoverageEngine::Create(stored_schema, stored_options);
+          if (!created.ok()) return created.status();
+          engine = std::move(*created);
         } else if (!(stored_schema == engine->schema())) {
           return Status::Internal("WAL header in '" + path +
                                   "' disagrees with the recovered schema");

@@ -36,13 +36,14 @@ JsonValue ToJson(const AuditResult& result, const Schema& schema) {
     // Encode straight from the packed form — PatternCodec's renderers are
     // byte-identical to Pattern's, so the wire bytes do not depend on
     // whether the result was materialized.
-    const PatternCodec& codec = result.packed->codec;
-    mups.reserve(result.packed->mups.size());
-    for (const PackedPattern& p : result.packed->mups) {
+    const PackedMupSet& packed = *result.packed;
+    const PatternCodec& codec = packed.codec();
+    mups.reserve(packed.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
       JsonValue::Object m;
-      m["pattern"] = codec.ToString(p);
-      m["label"] = codec.ToLabelledString(p, schema);
-      m["level"] = p.level();
+      m["pattern"] = codec.ToString(packed[i]);
+      m["label"] = codec.ToLabelledString(packed[i], schema);
+      m["level"] = codec.level(packed[i]);
       mups.push_back(std::move(m));
     }
   } else {

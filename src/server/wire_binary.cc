@@ -1,5 +1,6 @@
 #include "server/wire_binary.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <utility>
@@ -115,19 +116,19 @@ std::string EncodeAuditResultBinary(const AuditResult& result) {
   if (result.packed.has_value()) {
     // Sparse-cell form: only the deterministic cells travel. MUPs live at
     // low levels by construction (the search stops at the first uncovered
-    // ancestor), so this beats both the raw 256-bit words and the JSON
-    // object by a wide margin.
-    const PatternCodec& codec = result.packed->codec;
-    const int num_attrs = codec.num_attributes();
+    // ancestor), so this beats both the raw key words and the JSON object
+    // by a wide margin.
+    const PackedMupSet& packed = *result.packed;
+    const PatternCodec& codec = packed.codec();
     payload.PutU8(kMupsSparseCells);
-    payload.PutU64(result.packed->mups.size());
-    for (const PackedPattern& p : result.packed->mups) {
-      payload.PutU16(static_cast<std::uint16_t>(p.level()));
-      for (int attr = 0; attr < num_attrs; ++attr) {
-        if (!codec.is_deterministic(p, attr)) continue;
+    payload.PutU64(packed.size());
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      const PackedKeyView p = packed[i];
+      payload.PutU16(static_cast<std::uint16_t>(codec.level(p)));
+      codec.ForEachDeterministic(p, [&](int attr) {
         payload.PutU16(static_cast<std::uint16_t>(attr));
         payload.PutU16(static_cast<std::uint16_t>(codec.cell(p, attr)));
-      }
+      });
     }
   } else {
     payload.PutU8(kMupsPatternStrings);
@@ -165,14 +166,12 @@ StatusOr<AuditResult> DecodeAuditResultBinary(std::string_view bytes,
     COVERAGE_RETURN_IF_ERROR(in.Need(static_cast<std::size_t>(count) * 2));
     StatusOr<PatternCodec> codec = PatternCodec::Build(schema);
     COVERAGE_RETURN_IF_ERROR(codec.status());
-    PackedMupSet packed;
-    packed.codec = *codec;
-    packed.mups.reserve(static_cast<std::size_t>(count));
-    const PackedPattern root = packed.codec.Root();
+    PackedMupSet packed(std::move(*codec));
+    std::vector<Value> cells(static_cast<std::size_t>(schema.num_attributes()));
     for (std::uint64_t i = 0; i < count; ++i) {
       std::uint16_t level = 0;
       COVERAGE_RETURN_IF_ERROR(in.GetU16(&level));
-      PackedPattern p = root;
+      std::fill(cells.begin(), cells.end(), kWildcard);
       for (std::uint16_t c = 0; c < level; ++c) {
         std::uint16_t attr = 0;
         std::uint16_t value = 0;
@@ -184,14 +183,14 @@ StatusOr<AuditResult> DecodeAuditResultBinary(std::string_view bytes,
         if (value >= static_cast<std::uint16_t>(schema.cardinality(attr))) {
           return Status::InvalidArgument("mup cell value out of range");
         }
-        p = packed.codec.WithCell(p, attr, static_cast<Value>(value));
+        // A repeated attribute would overwrite a cell and leave the level
+        // short — reject rather than silently reshape the pattern.
+        if (cells[attr] != kWildcard) {
+          return Status::InvalidArgument("mup cells inconsistent with level");
+        }
+        cells[attr] = static_cast<Value>(value);
       }
-      // A repeated attribute would overwrite a cell and leave the level
-      // short — reject rather than silently reshape the pattern.
-      if (p.level() != static_cast<int>(level)) {
-        return Status::InvalidArgument("mup cells inconsistent with level");
-      }
-      packed.mups.push_back(p);
+      packed.Append(cells);
     }
     result.packed = std::move(packed);
   } else if (kind == kMupsPatternStrings) {

@@ -44,10 +44,11 @@ namespace wire {
 ///   u64    mup_count
 ///   per MUP, kind 1:  u16 level, then level x (u16 attr, u16 value) —
 ///     only the deterministic cells travel; the decoder rebuilds the packed
-///     pattern from the schema's codec (Root + WithCell). A level-3 MUP
-///     costs 14 bytes against ~100 for its JSON object.
-///   per MUP, kind 2:  string pattern ("X1X0"), u16 level — the fallback
-///     for schemas too wide for PatternCodec (the legacy representation).
+///     set from the schema's codec. A level-3 MUP costs 14 bytes against
+///     ~100 for its JSON object.
+///   per MUP, kind 2:  string pattern ("X1X0"), u16 level — for results
+///     that carry no packed set (session audits read the engine's
+///     materialized MUPs).
 ///
 /// Query batch payload (msg_type 2):
 ///

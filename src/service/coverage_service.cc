@@ -213,6 +213,7 @@ CoverageService::CoverageService(std::unique_ptr<AggregatedData> agg,
 StatusOr<CoverageService> CoverageService::FromDataset(
     const Dataset& data, ServiceOptions options) {
   COVERAGE_RETURN_IF_ERROR(options.Validate());
+  COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(data.schema()).status());
   return CoverageService(std::make_unique<AggregatedData>(data), options);
 }
 
@@ -222,6 +223,7 @@ StatusOr<CoverageService> CoverageService::FromCsv(std::istream& is,
   std::vector<Value> encoded;
   auto schema = InferSchemaFromCsv(is, options.max_cardinality, &encoded);
   if (!schema.ok()) return schema.status();
+  COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(*schema).status());
   auto agg = std::make_unique<AggregatedData>(*schema);
   const auto d = static_cast<std::size_t>(schema->num_attributes());
   if (d > 0) {
@@ -241,6 +243,7 @@ StatusOr<CoverageService> CoverageService::FromCsvFile(
   }
   auto schema = InferSchemaFromCsv(schema_pass, options.max_cardinality);
   if (!schema.ok()) return schema.status();
+  COVERAGE_RETURN_IF_ERROR(PatternCodec::Build(*schema).status());
 
   std::ifstream ingest_pass(path);
   if (!ingest_pass.good()) {
@@ -275,7 +278,7 @@ StatusOr<CoverageService> CoverageService::FromSpec(const DatagenSpec& spec,
   } else {
     data = datagen::MakeDiagonal(spec.d);
   }
-  return CoverageService(std::make_unique<AggregatedData>(data), options);
+  return FromDataset(data, options);
 }
 
 // ------------------------------------------------------------ entry points
@@ -327,26 +330,13 @@ StatusOr<AuditResult> CoverageService::Audit(const AuditRequest& request,
       }
     }
   }
-  if (PatternCodec::Build(schema()).ok()) {
-    auto packed = [&] {
-      obs::ScopedStage stage(trace, "search");
-      return FindMupsPacked(algorithm, *oracle_, search, &result.stats);
-    }();
-    if (!packed.ok()) return packed.status();
-    result.packed = std::move(*packed);
-    if (request.materialize_patterns) {
-      result.mups = result.packed->Materialize();
-    }
-  } else {
-    // Schema too wide for the packed representation: legacy search, always
-    // materialized.
-    auto mups = [&] {
-      obs::ScopedStage stage(trace, "search");
-      return FindMups(algorithm, *oracle_, search, &result.stats);
-    }();
-    if (!mups.ok()) return mups.status();
-    result.mups = std::move(*mups);
-  }
+  auto packed = [&] {
+    obs::ScopedStage stage(trace, "search");
+    return FindMupsPacked(algorithm, *oracle_, search, &result.stats);
+  }();
+  if (!packed.ok()) return packed.status();
+  result.packed = std::move(*packed);
+  if (request.materialize_patterns) result.mups = result.packed->Materialize();
   result.algorithm = ToString(algorithm);
   result.max_level = search.max_level;
   result.tau = request.tau;
@@ -453,7 +443,9 @@ StatusOr<CoverageService::Session> CoverageService::OpenSession(
     return Status::InvalidArgument(
         "a session needs a schema with at least one attribute");
   }
-  return Session(schema, options);
+  auto engine = CoverageEngine::Create(schema, EngineOptionsFrom(options));
+  if (!engine.ok()) return engine.status();
+  return Session(std::move(*engine), options);
 }
 
 StatusOr<CoverageService::Session> CoverageService::OpenDurableSession(
@@ -489,13 +481,12 @@ StatusOr<CoverageService::Session> CoverageService::ReopenDurableSession(
   return Session(std::move(*durable), effective);
 }
 
-CoverageService::Session::Session(Schema schema, const SessionOptions& options)
+CoverageService::Session::Session(std::unique_ptr<CoverageEngine> engine,
+                                  const SessionOptions& options)
     : options_(options),
+      engine_(std::move(engine)),
       arena_(MakeArena(options.num_threads, options.max_total_threads,
-                       options.thread_budget)) {
-  engine_ = std::make_unique<CoverageEngine>(std::move(schema),
-                                             EngineOptionsFrom(options));
-}
+                       options.thread_budget)) {}
 
 CoverageService::Session::Session(
     std::unique_ptr<persist::DurableEngine> durable,

@@ -121,8 +121,8 @@ struct AuditRequest {
   /// only in packed form (AuditResult::packed) — callers that re-encode the
   /// result (the HTTP server, the CLI's --json path) skip materializing a
   /// vector<int> per MUP. Not part of the wire protocol: the server sets it
-  /// itself. Ignored (patterns always materialized) when the schema is too
-  /// wide for the packed representation.
+  /// itself. Session audits, which read the engine's maintained set, always
+  /// materialize.
   bool materialize_patterns = true;
 
   Status Validate() const;
@@ -135,9 +135,10 @@ struct AuditResult {
   /// materialize_patterns = false and `packed` carries the set instead.
   std::vector<Pattern> mups;
 
-  /// The same MUP set in packed form (plus its codec), present whenever the
-  /// search ran on the packed representation. The wire encoder renders
-  /// pattern strings straight from this, byte-identical to the legacy path.
+  /// The same MUP set in packed form (plus its codec), present for every
+  /// CoverageService::Audit (absent for session audits). The wire encoders
+  /// render pattern strings straight from this, byte-identical to encoding
+  /// `mups`.
   std::optional<PackedMupSet> packed;
 
   MupSearchStats stats;
@@ -336,7 +337,8 @@ class CoverageService {
 
    private:
     friend class CoverageService;
-    Session(Schema schema, const SessionOptions& options);
+    Session(std::unique_ptr<CoverageEngine> engine,
+            const SessionOptions& options);
     Session(std::unique_ptr<persist::DurableEngine> durable,
             const SessionOptions& options);
 

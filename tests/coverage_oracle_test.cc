@@ -51,13 +51,13 @@ TEST(ScanCoverage, UncoveredRegion) {
 TEST(ScanCoverage, CountsQueries) {
   const Dataset data = MakeExample1();
   ScanCoverage oracle(data);
-  EXPECT_EQ(oracle.num_queries(), 0u);
-  // num_queries() reports the default context, reachable explicitly.
-  oracle.Coverage(Pattern::Root(3), oracle.default_context());
-  oracle.Coverage(Pattern::Root(3), oracle.default_context());
-  EXPECT_EQ(oracle.num_queries(), 2u);
-  oracle.ResetQueryCounter();
-  EXPECT_EQ(oracle.num_queries(), 0u);
+  QueryContext ctx;
+  EXPECT_EQ(ctx.num_queries(), 0u);
+  oracle.Coverage(Pattern::Root(3), ctx);
+  oracle.Coverage(Pattern::Root(3), ctx);
+  EXPECT_EQ(ctx.num_queries(), 2u);
+  ctx.ResetQueryCounter();
+  EXPECT_EQ(ctx.num_queries(), 0u);
 }
 
 TEST(BitmapCoverage, MatchesWorkedExample) {

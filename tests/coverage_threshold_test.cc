@@ -131,14 +131,11 @@ TEST(CoverageAtLeast, QueryCounterAdvances) {
   data.AppendRow(std::vector<Value>{0, 0});
   const AggregatedData agg(data);
   BitmapCoverage oracle(agg);
-  // The default context still backs num_queries() for serial callers; the
-  // deprecated context-free overloads were the only other way to reach it.
-  oracle.ResetQueryCounter();
-  QueryContext& ctx = oracle.default_context();
+  QueryContext ctx;
   oracle.CoverageAtLeast(Pattern::Root(2), 1, ctx);
   oracle.CoverageAtLeast(*Pattern::Parse("0X", schema), 1, ctx);
   oracle.Coverage(*Pattern::Parse("00", schema), ctx);
-  EXPECT_EQ(oracle.num_queries(), 3u);
+  EXPECT_EQ(ctx.num_queries(), 3u);
 }
 
 TEST(AprioriGuard, EnumerationLimitTriggers) {

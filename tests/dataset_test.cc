@@ -251,6 +251,47 @@ TEST(AggregatedData, DecrementTombstonesAndRevivesInPlace) {
   EXPECT_EQ(agg.CountOf(std::vector<Value>{1, 0}), 1u);
 }
 
+TEST(AggregatedData, CombinationSpacePast64BitsKeepsRowsDistinct) {
+  // 130 binary attributes: Π c_i = 2^130 has no exact 64-bit code. Rows
+  // that differ only in their leading attributes — whose mixed-radix digits
+  // a 64-bit key would shift out — must stay distinct combinations.
+  const Schema schema = Schema::Binary(130);
+  std::vector<Value> zeros(130, 0);
+  std::vector<Value> lead = zeros;
+  lead[0] = 1;
+  std::vector<Value> second = zeros;
+  second[1] = 1;
+  AggregatedData agg(schema);
+  agg.AppendRow(zeros);
+  agg.AppendRow(lead);
+  agg.AppendRow(second);
+  agg.AppendRow(lead);
+  ASSERT_EQ(agg.num_combinations(), 3u);
+  EXPECT_EQ(agg.CountOf(zeros), 1u);
+  EXPECT_EQ(agg.CountOf(lead), 2u);
+  EXPECT_EQ(agg.CountOf(second), 1u);
+  EXPECT_EQ(agg.IdOf(second), 2u);
+
+  EXPECT_TRUE(agg.DecrementRow(zeros));
+  EXPECT_FALSE(agg.DecrementRow(zeros));
+  EXPECT_EQ(agg.CountOf(lead), 2u);
+
+  // Restore rebuilds the same index and still rejects true duplicates.
+  std::vector<Value> cells;
+  for (std::size_t k = 0; k < agg.num_combinations(); ++k) {
+    cells.insert(cells.end(), agg.combination(k).begin(),
+                 agg.combination(k).end());
+  }
+  auto restored = AggregatedData::Restore(schema, cells, agg.counts());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->CountOf(lead), 2u);
+  EXPECT_EQ(restored->IdOf(second), 2u);
+  cells.insert(cells.end(), lead.begin(), lead.end());
+  std::vector<std::uint64_t> counts = agg.counts();
+  counts.push_back(1);
+  EXPECT_FALSE(AggregatedData::Restore(schema, cells, counts).ok());
+}
+
 // ------------------------------------------------------------ Bucketizer --
 
 TEST(Bucketizer, EquiWidthBounds) {

@@ -1,10 +1,18 @@
+// The Appendix-B dominance index, in both key forms: every case runs against
+// MupDominanceIndex (vector<int> keys) and against PackedMupIndex at each key
+// width. For the 8- and 16-word widths the schema is padded with leading
+// wildcard-only binary attributes, so the cells under test sit in key words
+// 4+ and 8+ respectively.
+
 #include "mups/mup_index.h"
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
+#include "mups/packed_index.h"
 
 namespace coverage {
 namespace {
@@ -15,36 +23,101 @@ Pattern P(const std::string& text, const Schema& schema) {
   return *p;
 }
 
-TEST(MupDominanceIndex, EmptyIndexDominatesNothing) {
+/// PackedMupIndex<W> behind MupDominanceIndex's Pattern-keyed interface.
+template <int W>
+class PackedKeyIndex {
+ public:
+  explicit PackedKeyIndex(const Schema& schema)
+      : pad_(W == 4 ? 0 : W / 2 * 32),
+        schema_(Padded(schema, pad_)),
+        codec_(*PatternCodec::Build(schema_)),
+        index_(schema_, codec_) {
+    EXPECT_EQ(codec_.key_words(), W);
+  }
+
+  void Add(const Pattern& mup) { index_.Add(Key(mup)); }
+  void AddBatch(std::span<const Pattern> mups) {
+    std::vector<PackedPattern<W>> keys;
+    for (const Pattern& m : mups) keys.push_back(Key(m));
+    index_.AddBatch(keys);
+  }
+  bool Remove(const Pattern& mup) { return index_.Remove(Key(mup)); }
+  std::size_t size() const { return index_.size(); }
+  std::vector<Pattern> mups() const {
+    std::vector<Pattern> out;
+    for (const PackedPattern<W>& key : index_.mups()) {
+      const Pattern decoded = codec_.Decode(key);
+      out.emplace_back(std::vector<Value>(decoded.cells().begin() + pad_,
+                                          decoded.cells().end()));
+    }
+    return out;
+  }
+  bool Contains(const Pattern& p) const { return index_.Contains(Key(p)); }
+  bool IsDominated(const Pattern& p) const {
+    return index_.IsDominated(Key(p));
+  }
+  bool DominatesSome(const Pattern& p) const {
+    return index_.DominatesSome(Key(p));
+  }
+
+ private:
+  static Schema Padded(const Schema& schema, int pad) {
+    std::vector<int> cards(static_cast<std::size_t>(pad), 2);
+    for (int i = 0; i < schema.num_attributes(); ++i) {
+      cards.push_back(schema.cardinality(i));
+    }
+    return Schema::Uniform(cards);
+  }
+
+  PackedPattern<W> Key(const Pattern& p) const {
+    std::vector<Value> cells(static_cast<std::size_t>(pad_), kWildcard);
+    cells.insert(cells.end(), p.cells().begin(), p.cells().end());
+    return codec_.Encode<W>(Pattern(std::move(cells)));
+  }
+
+  int pad_;
+  Schema schema_;
+  PatternCodec codec_;
+  PackedMupIndex<W> index_;
+};
+
+template <typename Index>
+class MupIndexTest : public ::testing::Test {};
+
+using IndexTypes = ::testing::Types<MupDominanceIndex, PackedKeyIndex<4>,
+                                    PackedKeyIndex<8>, PackedKeyIndex<16>>;
+TYPED_TEST_SUITE(MupIndexTest, IndexTypes);
+
+TYPED_TEST(MupIndexTest, EmptyIndexDominatesNothing) {
   const Schema schema = Schema::Binary(3);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   EXPECT_EQ(index.size(), 0u);
   EXPECT_FALSE(index.IsDominated(P("111", schema)));
   EXPECT_FALSE(index.DominatesSome(Pattern::Root(3)));
   EXPECT_FALSE(index.Contains(Pattern::Root(3)));
 }
 
-TEST(MupDominanceIndex, MembershipIsExact) {
+TYPED_TEST(MupIndexTest, MembershipIsExact) {
   const Schema schema = Schema::Binary(3);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("1XX", schema));
   EXPECT_TRUE(index.Contains(P("1XX", schema)));
   EXPECT_FALSE(index.Contains(P("0XX", schema)));
   EXPECT_EQ(index.size(), 1u);
 }
 
-TEST(MupDominanceIndex, DescendantIsDominated) {
+TYPED_TEST(MupIndexTest, DescendantIsDominated) {
   const Schema schema = Schema::Binary(4);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("1XXX", schema));
   EXPECT_TRUE(index.IsDominated(P("10X1", schema)));
   EXPECT_TRUE(index.IsDominated(P("1111", schema)));
   EXPECT_TRUE(index.IsDominated(P("1XX0", schema)));
 }
 
-TEST(MupDominanceIndex, NonDescendantNotDominated) {
+TYPED_TEST(MupIndexTest, NonDescendantNotDominated) {
   const Schema schema = Schema::Binary(4);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("1XXX", schema));
   EXPECT_FALSE(index.IsDominated(P("0XXX", schema)));
   EXPECT_FALSE(index.IsDominated(P("X1XX", schema)));  // incomparable
@@ -52,9 +125,9 @@ TEST(MupDominanceIndex, NonDescendantNotDominated) {
   EXPECT_FALSE(index.IsDominated(P("1XXX", schema)));  // equality is strict
 }
 
-TEST(MupDominanceIndex, AncestorDominatesSome) {
+TYPED_TEST(MupIndexTest, AncestorDominatesSome) {
   const Schema schema = Schema::Binary(4);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("10X1", schema));
   EXPECT_TRUE(index.DominatesSome(Pattern::Root(4)));
   EXPECT_TRUE(index.DominatesSome(P("1XXX", schema)));
@@ -64,9 +137,9 @@ TEST(MupDominanceIndex, AncestorDominatesSome) {
   EXPECT_FALSE(index.DominatesSome(P("1011", schema)));  // descendant
 }
 
-TEST(MupDominanceIndex, MultipleMupsAnyMatchCounts) {
+TYPED_TEST(MupIndexTest, MultipleMupsAnyMatchCounts) {
   const Schema schema = Schema::Binary(4);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("1XXX", schema));
   index.Add(P("X0X0", schema));
   EXPECT_TRUE(index.IsDominated(P("1010", schema)));  // dominated by both
@@ -75,9 +148,9 @@ TEST(MupDominanceIndex, MultipleMupsAnyMatchCounts) {
   EXPECT_FALSE(index.IsDominated(P("01X1", schema)));
 }
 
-TEST(MupDominanceIndex, MixedCardinalities) {
+TYPED_TEST(MupIndexTest, MixedCardinalities) {
   const Schema schema = Schema::Uniform({3, 4, 2});
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("2XX", schema));
   index.Add(P("X31", schema));
   EXPECT_TRUE(index.IsDominated(P("23X", schema)));
@@ -88,11 +161,11 @@ TEST(MupDominanceIndex, MixedCardinalities) {
   EXPECT_FALSE(index.DominatesSome(P("X2X", schema)));
 }
 
-TEST(MupDominanceIndex, AgreesWithDirectDominanceChecks) {
+TYPED_TEST(MupIndexTest, AgreesWithDirectDominanceChecks) {
   // Property: index answers equal brute-force checks over all patterns of a
   // small graph for an arbitrary antichain.
   const Schema schema = Schema::Uniform({2, 3, 2});
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   const std::vector<Pattern> mups = {P("1XX", schema), P("X2X", schema),
                                      P("X01", schema)};
   for (const Pattern& m : mups) index.Add(m);
@@ -113,10 +186,10 @@ TEST(MupDominanceIndex, AgreesWithDirectDominanceChecks) {
   }
 }
 
-TEST(MupDominanceIndex, GrowsPastWordBoundary) {
+TYPED_TEST(MupIndexTest, GrowsPastWordBoundary) {
   // More than 64 MUPs exercises multi-word bit vectors.
   const Schema schema = Schema::Uniform({100, 2});
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   for (Value v = 0; v < 100; ++v) {
     index.Add(Pattern({v, kWildcard}));
   }
@@ -128,7 +201,7 @@ TEST(MupDominanceIndex, GrowsPastWordBoundary) {
   EXPECT_FALSE(index.IsDominated(Pattern({kWildcard, Value{1}})));
 }
 
-TEST(MupDominanceIndex, AddBatchMatchesSequentialAdds) {
+TYPED_TEST(MupIndexTest, AddBatchMatchesSequentialAdds) {
   const Schema schema = Schema::Uniform({5, 3, 4});
   // An antichain mixing levels and wildcard positions.
   const std::vector<Pattern> batch = {
@@ -137,9 +210,9 @@ TEST(MupDominanceIndex, AddBatchMatchesSequentialAdds) {
       Pattern({kWildcard, Value{0}, Value{3}}),
       Pattern({Value{4}, kWildcard, kWildcard}),
   };
-  MupDominanceIndex batched(schema);
+  TypeParam batched(schema);
   batched.AddBatch(batch);
-  MupDominanceIndex sequential(schema);
+  TypeParam sequential(schema);
   for (const Pattern& m : batch) sequential.Add(m);
 
   ASSERT_EQ(batched.size(), sequential.size());
@@ -159,11 +232,11 @@ TEST(MupDominanceIndex, AddBatchMatchesSequentialAdds) {
   }
 }
 
-TEST(MupDominanceIndex, AddBatchAfterAddsCrossesWordBoundary) {
+TYPED_TEST(MupIndexTest, AddBatchAfterAddsCrossesWordBoundary) {
   // Seed 60 single Adds so the batch append starts mid-word, then grow past
   // the 64-bit boundary in one AddBatch.
   const Schema schema = Schema::Uniform({100, 2});
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   std::vector<Pattern> batch;
   for (Value v = 0; v < 100; ++v) {
     if (v < 60) {
@@ -182,9 +255,9 @@ TEST(MupDominanceIndex, AddBatchAfterAddsCrossesWordBoundary) {
   EXPECT_FALSE(index.IsDominated(Pattern({kWildcard, Value{1}})));
 }
 
-TEST(MupDominanceIndex, AddBatchEmptyIsNoOp) {
+TYPED_TEST(MupIndexTest, AddBatchEmptyIsNoOp) {
   const Schema schema = Schema::Binary(3);
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.AddBatch({});
   EXPECT_EQ(index.size(), 0u);
   index.Add(Pattern({Value{1}, kWildcard, kWildcard}));
@@ -192,9 +265,9 @@ TEST(MupDominanceIndex, AddBatchEmptyIsNoOp) {
   EXPECT_EQ(index.size(), 1u);
 }
 
-TEST(MupDominanceIndex, RemoveUnregistersAndCompacts) {
+TYPED_TEST(MupIndexTest, RemoveUnregistersAndCompacts) {
   const Schema schema = Schema::Uniform({2, 3, 2});
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   index.Add(P("1XX", schema));
   index.Add(P("X2X", schema));
   index.Add(P("X01", schema));
@@ -224,12 +297,12 @@ TEST(MupDominanceIndex, RemoveUnregistersAndCompacts) {
   EXPECT_FALSE(index.IsDominated(P("11X", schema)));
 }
 
-TEST(MupDominanceIndex, RandomAddRemoveAgreesWithDirectChecks) {
+TYPED_TEST(MupIndexTest, RandomAddRemoveAgreesWithDirectChecks) {
   // Property: after an arbitrary interleaving of Adds and Removes (crossing
   // the 64-bit word boundary), every probe equals the brute-force check
   // against the surviving set.
   const Schema schema = Schema::Uniform({40, 2, 2});
-  MupDominanceIndex index(schema);
+  TypeParam index(schema);
   std::vector<Pattern> live;
   Rng rng(77);
   for (int step = 0; step < 300; ++step) {

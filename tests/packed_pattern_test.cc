@@ -1,5 +1,6 @@
 // Property tests for the packed pattern key: over hundreds of random
-// schemas (including word-boundary and max-cardinality shapes), every
+// schemas of every key width (4, 8 and 16 words, so fields land in words
+// 0–15), including word-boundary and max-cardinality shapes, every
 // PackedPattern operation must agree with the vector<int> Pattern it
 // mirrors — round-trip, cell access, parent/child moves, dominance, level,
 // rightmost scans, ordering, hashing, and string rendering.
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "mups/mups.h"
 #include "pattern/packed_set.h"
 #include "pattern/pattern.h"
 
@@ -35,14 +37,12 @@ Pattern RandomPattern(const Schema& schema, Rng& rng, double wild) {
   return Pattern(std::move(cells));
 }
 
-/// One schema's worth of agreement checks between the two representations.
-void CheckSchema(const Schema& schema, std::uint64_t seed) {
-  auto built = PatternCodec::Build(schema);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const PatternCodec& codec = *built;
+/// One schema's worth of agreement checks between the two representations,
+/// on the key width the codec chose.
+template <int W>
+void CheckSchemaAt(const Schema& schema, const PatternCodec& codec,
+                   std::uint64_t seed) {
   const int d = schema.num_attributes();
-  ASSERT_EQ(codec.num_attributes(), d);
-
   Rng rng(seed);
   std::vector<Pattern> samples;
   samples.push_back(Pattern::Root(d));
@@ -61,11 +61,12 @@ void CheckSchema(const Schema& schema, std::uint64_t seed) {
   }
 
   for (const Pattern& p : samples) {
-    const PackedPattern packed = codec.Encode(p);
+    const PackedPattern<W> packed = codec.Encode<W>(p);
 
     // Round-trip and cell-level agreement.
     EXPECT_EQ(codec.Decode(packed), p);
     EXPECT_EQ(packed.level(), p.level());
+    EXPECT_EQ(codec.level(packed), p.level());
     for (int i = 0; i < d; ++i) {
       EXPECT_EQ(codec.cell(packed, i), p.cell(i));
       EXPECT_EQ(codec.is_deterministic(packed, i), p.is_deterministic(i));
@@ -100,12 +101,14 @@ void CheckSchema(const Schema& schema, std::uint64_t seed) {
     // Pairwise dominance, equality, ordering, and hashing against every
     // other sample.
     for (const Pattern& q : samples) {
-      const PackedPattern packed_q = codec.Encode(q);
+      const PackedPattern<W> packed_q = codec.Encode<W>(q);
       EXPECT_EQ(packed.Dominates(packed_q), p.Dominates(q));
       EXPECT_EQ(packed.DominatesOrEquals(packed_q), p.DominatesOrEquals(q));
       EXPECT_EQ(packed == packed_q, p == q);
       EXPECT_EQ(codec.Less(packed, packed_q), p < q);
-      if (p == q) EXPECT_EQ(packed.Hash(), packed_q.Hash());
+      if (p == q) {
+        EXPECT_EQ(packed.Hash(), packed_q.Hash());
+      }
     }
   }
 
@@ -115,45 +118,94 @@ void CheckSchema(const Schema& schema, std::uint64_t seed) {
     tuple[static_cast<std::size_t>(i)] = static_cast<Value>(
         rng.NextUint64(static_cast<std::uint64_t>(schema.cardinality(i))));
   }
-  EXPECT_EQ(codec.Decode(codec.EncodeTuple(tuple)),
+  EXPECT_EQ(codec.Decode(codec.EncodeTuple<W>(tuple)),
             Pattern::FromTuple(tuple));
+
+  // The width-free PackedMupSet stores exactly what the typed keys hold.
+  PackedMupSet set(codec);
+  for (const Pattern& p : samples) set.Append(codec.Encode<W>(p));
+  for (const Pattern& p : samples) set.Append(p.cells());
+  ASSERT_EQ(set.size(), 2 * samples.size());
+  std::vector<Pattern> twice = samples;
+  twice.insert(twice.end(), samples.begin(), samples.end());
+  EXPECT_EQ(set.Materialize(), twice);
+}
+
+/// Checks `schema` on the width PatternCodec::Build picks, which must be
+/// `expected_words`.
+void CheckSchema(const Schema& schema, std::uint64_t seed,
+                 int expected_words) {
+  auto built = PatternCodec::Build(schema);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const PatternCodec& codec = *built;
+  ASSERT_EQ(codec.num_attributes(), schema.num_attributes());
+  ASSERT_EQ(codec.key_words(), expected_words);
+  WithKeyWidth(codec, [&]<int W>(std::integral_constant<int, W>) {
+    CheckSchemaAt<W>(schema, codec, seed);
+  });
+}
+
+/// Random cardinalities (skewed low, like bucketized categorical data) whose
+/// layout needs exactly `words`-word keys.
+std::vector<int> RandomCardinalities(Rng& rng, int words) {
+  const auto draw = [&] { return 1 + static_cast<int>(rng.NextUint64(9)); };
+  std::vector<int> cards;
+  if (words == kPackedKeyWidths[0]) {
+    const int d = 1 + static_cast<int>(rng.NextUint64(12));
+    for (int i = 0; i < d; ++i) cards.push_back(draw());
+    return cards;
+  }
+  // Grow until the layout reaches the requested width, then keep going for
+  // a random stretch without spilling into the next one.
+  for (;;) {
+    cards.push_back(draw());
+    auto codec = PatternCodec::Build(Schema::Uniform(cards));
+    if (!codec.ok() || codec->key_words() > words) {
+      cards.pop_back();
+      return cards;
+    }
+    if (codec->key_words() == words && rng.NextBool(0.02)) return cards;
+  }
 }
 
 TEST(PackedPattern, FiveHundredRandomSchemas) {
   Rng rng(2026);
   for (int s = 0; s < 500; ++s) {
-    const int d = 1 + static_cast<int>(rng.NextUint64(12));
-    std::vector<int> cardinalities(static_cast<std::size_t>(d));
-    for (int i = 0; i < d; ++i) {
-      // Cardinality 1 is legal and degenerate; skewing low keeps the
-      // schemas representative of bucketized categorical data.
-      cardinalities[static_cast<std::size_t>(i)] =
-          1 + static_cast<int>(rng.NextUint64(9));
-    }
-    const Schema schema = Schema::Uniform(cardinalities);
-    CheckSchema(schema, 3000 + static_cast<std::uint64_t>(s));
+    const int words = kPackedKeyWidths[static_cast<std::size_t>(s % 3)];
+    const std::vector<int> cards = RandomCardinalities(rng, words);
+    CheckSchema(Schema::Uniform(cards), 3000 + static_cast<std::uint64_t>(s),
+                words);
   }
 }
 
 TEST(PackedPattern, WordBoundaryBinarySchema) {
   // Binary attributes take 2-bit fields (value, plus the all-ones wildcard
-  // code): 32 fit in word 0, so the 33rd binary attribute is the first to
-  // land in word 1. Check shapes straddling that boundary.
-  for (int d : {32, 33, 34, 64, 65, 96, 97, 128}) {
+  // code): 32 fit in a word, so the 33rd binary attribute is the first to
+  // land in word 1, the 129th the first past the 4-word key, the 257th the
+  // first past the 8-word key. Check shapes straddling each boundary.
+  const std::pair<int, int> shapes[] = {
+      {32, 4},  {33, 4},  {34, 4},  {64, 4},  {65, 4},  {96, 4},
+      {97, 4},  {128, 4}, {129, 8}, {160, 8}, {161, 8}, {256, 8},
+      {257, 16}, {288, 16}, {289, 16}, {480, 16}, {481, 16}, {512, 16}};
+  for (const auto& [d, words] : shapes) {
     const Schema schema = Schema::Uniform(std::vector<int>(
         static_cast<std::size_t>(d), 2));
-    CheckSchema(schema, 5000 + static_cast<std::uint64_t>(d));
+    CheckSchema(schema, 5000 + static_cast<std::uint64_t>(d), words);
   }
 }
 
 TEST(PackedPattern, WordBoundaryHighCardinalitySchema) {
   // Cardinality-30 attributes take 5-bit fields; 12 fit in a word (60 bits,
   // 4 spare), so the 13th starts word 1 — and because fields never straddle
-  // words, its field begins at bit 0 of word 1, not bit 60 of word 0.
-  for (int d : {12, 13, 14, 25, 26, 48}) {
+  // words, its field begins at bit 0 of word 1, not bit 60 of word 0. The
+  // 49th starts word 4 (8-word key), the 97th word 8 (16-word key).
+  const std::pair<int, int> shapes[] = {
+      {12, 4}, {13, 4}, {14, 4},  {25, 4},  {26, 4},   {48, 4},
+      {49, 8}, {61, 8}, {96, 8},  {97, 16}, {181, 16}, {192, 16}};
+  for (const auto& [d, words] : shapes) {
     const Schema schema = Schema::Uniform(std::vector<int>(
         static_cast<std::size_t>(d), 30));
-    CheckSchema(schema, 6000 + static_cast<std::uint64_t>(d));
+    CheckSchema(schema, 6000 + static_cast<std::uint64_t>(d), words);
   }
 }
 
@@ -161,56 +213,96 @@ TEST(PackedPattern, MaxCardinalityAttribute) {
   // A large-cardinality attribute next to tiny ones exercises wide fields
   // and mixed layouts. 32767 is the largest cardinality Value (int16_t) can
   // express; its 15-bit field's wildcard code is the all-ones 32767.
-  CheckSchema(Schema::Uniform({1024, 2, 3}), 7001);
-  CheckSchema(Schema::Uniform({2, 32767, 2}), 7002);
-  CheckSchema(Schema::Uniform({32767, 32767, 32767}), 7003);
+  CheckSchema(Schema::Uniform({1024, 2, 3}), 7001, 4);
+  CheckSchema(Schema::Uniform({2, 32767, 2}), 7002, 4);
+  CheckSchema(Schema::Uniform({32767, 32767, 32767}), 7003, 4);
+  // Four 15-bit fields fill a word with 4 spare bits; 40 of them need ten
+  // words, so the last ones sit in words 8 and 9 of a 16-word key.
+  CheckSchema(Schema::Uniform(std::vector<int>(40, 32767)), 7004, 16);
 }
 
 TEST(PackedPattern, CapacityLimit) {
-  // 128 binary attributes = 256 bits: exactly at capacity. 129 exceeds it.
-  EXPECT_TRUE(
-      PatternCodec::Build(Schema::Uniform(std::vector<int>(128, 2))).ok());
-  auto over = PatternCodec::Build(Schema::Uniform(std::vector<int>(129, 2)));
-  EXPECT_FALSE(over.ok());
+  // 128 binary attributes = 256 bits: the last 4-word schema; 512 binary
+  // attributes = 1024 bits: exactly the widest key. 513 exceeds it, and the
+  // error names the bits needed and the cap.
+  EXPECT_EQ(
+      PatternCodec::Build(Schema::Uniform(std::vector<int>(128, 2)))
+          ->key_words(),
+      4);
+  EXPECT_EQ(
+      PatternCodec::Build(Schema::Uniform(std::vector<int>(512, 2)))
+          ->key_words(),
+      16);
+  auto over = PatternCodec::Build(Schema::Uniform(std::vector<int>(513, 2)));
+  ASSERT_FALSE(over.ok());
   EXPECT_EQ(over.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(over.status().message().find("1026"), std::string::npos)
+      << over.status().message();
+  EXPECT_NE(over.status().message().find("1024"), std::string::npos)
+      << over.status().message();
 }
 
 TEST(PackedPattern, ZeroAttributeSchema) {
   const Schema schema = Schema::Uniform(std::vector<int>{});
   auto codec = PatternCodec::Build(schema);
   ASSERT_TRUE(codec.ok());
-  const PackedPattern root = codec->Root();
+  EXPECT_EQ(codec->key_words(), 4);
+  const PackedPattern<4> root = codec->Root<4>();
   EXPECT_EQ(root.level(), 0);
   EXPECT_EQ(codec->Decode(root), Pattern::Root(0));
   EXPECT_EQ(codec->ToString(root), Pattern::Root(0).ToString());
 }
 
-TEST(PackedPatternSet, InsertContainsAgainstStdSet) {
-  const Schema schema = Schema::Uniform({3, 4, 2, 5});
+/// {3, 4, 2, 5} behind W/2 words of binary padding: the codec picks W-word
+/// keys and the interesting fields sit in word W/2.
+Schema PaddedSchema(int words) {
+  std::vector<int> cards(static_cast<std::size_t>(words / 2 * 32), 2);
+  cards.insert(cards.end(), {3, 4, 2, 5});
+  return Schema::Uniform(cards);
+}
+
+template <int W>
+void CheckSetAgainstStdSet() {
+  const Schema schema = PaddedSchema(W);
   auto codec = PatternCodec::Build(schema);
   ASSERT_TRUE(codec.ok());
+  ASSERT_EQ(codec->key_words(), W);
+  const int d = schema.num_attributes();
   Rng rng(99);
   Arena arena;
-  PackedPatternSet set(&arena);
+  PackedPatternSet<W> set(&arena);
   std::unordered_set<Pattern, PatternHash> reference;
   for (int i = 0; i < 2000; ++i) {
-    const Pattern p = RandomPattern(schema, rng, 0.3);
+    // Wild padding, random tail: 360 distinct keys, so most inserts repeat.
+    std::vector<Value> cells(static_cast<std::size_t>(d), kWildcard);
+    for (int a = d - 4; a < d; ++a) {
+      if (rng.NextBool(0.3)) continue;
+      cells[static_cast<std::size_t>(a)] = static_cast<Value>(
+          rng.NextUint64(static_cast<std::uint64_t>(schema.cardinality(a))));
+    }
+    const Pattern p(std::move(cells));
     const bool inserted_ref = reference.insert(p).second;
-    const bool inserted = set.Insert(codec->Encode(p));
+    const bool inserted = set.Insert(codec->Encode<W>(p));
     EXPECT_EQ(inserted, inserted_ref);
     EXPECT_EQ(set.size(), reference.size());
   }
   for (const Pattern& p : reference) {
-    EXPECT_TRUE(set.Contains(codec->Encode(p)));
+    EXPECT_TRUE(set.Contains(codec->Encode<W>(p)));
   }
   // The fully deterministic all-zeros pattern packs to all-zero value
   // words; the set has no in-band empty sentinel, so it must behave like
   // any other key.
-  const Pattern zeros(std::vector<Value>(4, Value{0}));
-  const PackedPattern packed_zeros = codec->Encode(zeros);
+  const Pattern zeros(std::vector<Value>(static_cast<std::size_t>(d), 0));
+  const PackedPattern<W> packed_zeros = codec->Encode<W>(zeros);
   EXPECT_EQ(set.Contains(packed_zeros), reference.contains(zeros));
   set.Insert(packed_zeros);
   EXPECT_TRUE(set.Contains(packed_zeros));
+}
+
+TEST(PackedPatternSet, InsertContainsAgainstStdSet) {
+  CheckSetAgainstStdSet<4>();
+  CheckSetAgainstStdSet<8>();
+  CheckSetAgainstStdSet<16>();
 }
 
 TEST(PackedPatternMap, FindOrInsertAccumulates) {
@@ -218,20 +310,20 @@ TEST(PackedPatternMap, FindOrInsertAccumulates) {
   auto codec = PatternCodec::Build(schema);
   ASSERT_TRUE(codec.ok());
   Arena arena;
-  PackedPatternMap<std::uint64_t> map(&arena);
+  PackedPatternMap<4, std::uint64_t> map(&arena);
   Rng rng(7);
   std::vector<Pattern> keys;
   for (int i = 0; i < 200; ++i) keys.push_back(RandomPattern(schema, rng, 0.5));
   for (int round = 0; round < 3; ++round) {
     for (const Pattern& p : keys) {
-      ++map.FindOrInsert(codec->Encode(p), std::uint64_t{0});
+      ++map.FindOrInsert(codec->Encode<4>(p), std::uint64_t{0});
     }
   }
   std::unordered_set<Pattern, PatternHash> distinct(keys.begin(), keys.end());
   EXPECT_EQ(map.size(), distinct.size());
   std::size_t visited = 0;
   std::uint64_t total = 0;
-  map.ForEach([&](const PackedPattern& k, const std::uint64_t& v) {
+  map.ForEach([&](const PackedPattern<4>& k, const std::uint64_t& v) {
     ++visited;
     total += v;
     EXPECT_TRUE(distinct.contains(codec->Decode(k)));

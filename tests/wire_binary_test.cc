@@ -1,5 +1,5 @@
 // Wire v2 (server/wire_binary.h): exact round-trips on both MUP
-// representations (packed sparse-cells and legacy pattern strings), the
+// representations (packed sparse-cells and pattern strings), the
 // ToJson byte-identity contract, strict rejection of damaged frames, a
 // seeded mutation fuzz over the decoders, the >= 60% size win over the
 // canonical JSON on a large MUP set, and Accept-header negotiation end to
@@ -84,15 +84,15 @@ TEST(WireBinary, AuditRoundTripPackedIsByteIdenticalInJson) {
             CanonicalJson(*result, service.schema()));
 }
 
-TEST(WireBinary, AuditRoundTripLegacyIsByteIdenticalInJson) {
+TEST(WireBinary, AuditRoundTripPatternStringsIsByteIdenticalInJson) {
   const CoverageService service = MakeCompasService();
   AuditRequest request;
   request.tau = 30;
   auto result = service.Audit(request);
   ASSERT_TRUE(result.ok());
   ASSERT_FALSE(result->mups.empty());
-  // Drop the packed set: this is the legacy shape (schemas too wide for
-  // PatternCodec), which travels as pattern strings (kind 2).
+  // Drop the packed set: this is the session-audit shape (materialized
+  // patterns only), which travels as pattern strings (kind 2).
   result->packed.reset();
 
   const std::string bytes = wire::EncodeAuditResultBinary(*result);
@@ -140,24 +140,21 @@ TEST(WireBinary, LargeMupSetShrinksAtLeastSixtyPercent) {
   result.tau = 30;
   result.num_rows = 1000000;
   result.planner_rationale = "synthetic fixture for the size bound";
-  result.packed.emplace();
-  result.packed->codec = *codec;
-  for (int a = 0; a < 11 && result.packed->mups.size() < 10000; ++a) {
+  result.packed.emplace(*codec);
+  for (int a = 0; a < 11 && result.packed->size() < 10000; ++a) {
     for (int b = 0; b < 11; ++b) {
       for (int c = 0; c < 11; ++c) {
-        for (int d = 0; d < 11 && result.packed->mups.size() < 10000; ++d) {
-          PackedPattern p = codec->Root();
-          p = codec->WithCell(p, 0, static_cast<Value>(a));
-          p = codec->WithCell(p, 1, static_cast<Value>(b));
-          p = codec->WithCell(p, 2, static_cast<Value>(c));
-          p = codec->WithCell(p, 3, static_cast<Value>(d));
-          result.packed->mups.push_back(p);
+        for (int d = 0; d < 11 && result.packed->size() < 10000; ++d) {
+          const std::vector<Value> cells = {
+              static_cast<Value>(a), static_cast<Value>(b),
+              static_cast<Value>(c), static_cast<Value>(d), kWildcard};
+          result.packed->Append(cells);
         }
       }
     }
   }
-  ASSERT_EQ(result.packed->mups.size(), 10000u);
-  result.stats.num_mups = result.packed->mups.size();
+  ASSERT_EQ(result.packed->size(), 10000u);
+  result.stats.num_mups = result.packed->size();
 
   const std::string binary = wire::EncodeAuditResultBinary(result);
   const std::string json_text = CanonicalJson(result, schema);
