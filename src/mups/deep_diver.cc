@@ -1,5 +1,8 @@
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
@@ -25,11 +28,13 @@ class CachingCoverage {
                   std::uint64_t tau, Arena* arena)
       : oracle_(oracle), codec_(codec), tau_(tau), cache_(arena) {}
 
+  /// One probe per call: a fresh slot holds -1 until the oracle answers.
   bool Covered(const PackedPattern<W>& p) {
-    if (const bool* hit = cache_.Find(p)) return *hit;
-    const bool covered = oracle_.CoverageAtLeast(p, codec_, tau_, ctx_);
-    cache_.FindOrInsert(p, covered);
-    return covered;
+    std::int8_t& slot = cache_.FindOrInsert(p, std::int8_t{-1});
+    if (slot == -1) {
+      slot = oracle_.CoverageAtLeast(p, codec_, tau_, ctx_) ? 1 : 0;
+    }
+    return slot == 1;
   }
 
   std::uint64_t num_queries() const { return ctx_.num_queries(); }
@@ -39,51 +44,15 @@ class CachingCoverage {
   const PatternCodec& codec_;
   const std::uint64_t tau_;
   QueryContext ctx_;
-  PackedPatternMap<W, bool> cache_;
+  PackedPatternMap<W, std::int8_t> cache_;
 };
 
 using DominanceMode = MupSearchOptions::DominanceMode;
 
-/// DominanceMode dispatch over the packed index: the Appendix-B bitmap
-/// probe, a linear scan over the discovered MUPs, or no pruning at all.
-template <int W>
-bool ModeIsDominated(const PackedMupIndex<W>& index, DominanceMode mode,
-                     const PackedPattern<W>& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.IsDominated(p);
-    case DominanceMode::kLinearScan: {
-      for (const PackedPattern<W>& m : index.mups()) {
-        if (m.Dominates(p)) return true;
-      }
-      return false;
-    }
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
-template <int W>
-bool ModeDominatesSome(const PackedMupIndex<W>& index, DominanceMode mode,
-                       const PackedPattern<W>& p) {
-  switch (mode) {
-    case DominanceMode::kBitmapIndex:
-      return index.DominatesSome(p);
-    case DominanceMode::kLinearScan: {
-      for (const PackedPattern<W>& m : index.mups()) {
-        if (p.Dominates(m)) return true;
-      }
-      return false;
-    }
-    case DominanceMode::kNoPruning:
-      return false;
-  }
-  return false;
-}
-
-/// Discovered-MUP set for the serial search. Membership is exact in every
-/// mode (needed for termination).
+/// One worker's replica of the discovered-MUP set, with the DominanceMode
+/// dispatch: the Appendix-B bitmap probe, a linear scan over the discovered
+/// MUPs, or no pruning at all. Membership is exact in every mode (needed for
+/// termination).
 template <int W>
 class DominanceChecker {
  public:
@@ -93,105 +62,58 @@ class DominanceChecker {
 
   void Add(const PackedPattern<W>& mup) { index_.Add(mup); }
   bool Contains(const PackedPattern<W>& p) const { return index_.Contains(p); }
+
   bool IsDominated(const PackedPattern<W>& p) const {
-    return ModeIsDominated(index_, mode_, p);
+    switch (mode_) {
+      case DominanceMode::kBitmapIndex:
+        return index_.IsDominated(p);
+      case DominanceMode::kLinearScan:
+        for (const PackedPattern<W>& m : index_.mups()) {
+          if (m.Dominates(p)) return true;
+        }
+        return false;
+      case DominanceMode::kNoPruning:
+        return false;
+    }
+    return false;
   }
+
   bool DominatesSome(const PackedPattern<W>& p) const {
-    return ModeDominatesSome(index_, mode_, p);
+    switch (mode_) {
+      case DominanceMode::kBitmapIndex:
+        return index_.DominatesSome(p);
+      case DominanceMode::kLinearScan:
+        for (const PackedPattern<W>& m : index_.mups()) {
+          if (p.Dominates(m)) return true;
+        }
+        return false;
+      case DominanceMode::kNoPruning:
+        return false;
+    }
+    return false;
   }
-  const std::vector<PackedPattern<W>>& mups() const { return index_.mups(); }
 
  private:
   DominanceMode mode_;
   PackedMupIndex<W> index_;
 };
 
-/// The same strategies against the reader/writer-locked shared index.
+/// What the DEEPDIVER workers share, all of it behind one mutex: a spill
+/// stack of undived nodes (seeded with the root), the count of workers
+/// waiting on it, and the append-only log of discovered MUPs. Everything
+/// else — dive stack, memo, MUP-index replica — is per worker, so a worker
+/// locks only to exchange something. `found` mirrors `log.size()` and
+/// `idle` doubles as the "someone is hungry" signal; both are written under
+/// the mutex and read relaxed, so a worker with nothing to trade never locks.
 template <int W>
-class SharedDominanceChecker {
- public:
-  SharedDominanceChecker(const Schema& schema, const PatternCodec& codec,
-                         DominanceMode mode)
-      : mode_(mode), index_(schema, codec) {}
-
-  bool AddIfAbsent(const PackedPattern<W>& mup) {
-    return index_.AddIfAbsent(mup);
-  }
-  bool Contains(const PackedPattern<W>& p) const { return index_.Contains(p); }
-  bool IsDominated(const PackedPattern<W>& p) const {
-    return index_.WithReadLock([&](const PackedMupIndex<W>& idx) {
-      return ModeIsDominated(idx, mode_, p);
-    });
-  }
-  bool DominatesSome(const PackedPattern<W>& p) const {
-    return index_.WithReadLock([&](const PackedMupIndex<W>& idx) {
-      return ModeDominatesSome(idx, mode_, p);
-    });
-  }
-  std::vector<PackedPattern<W>> Snapshot() const { return index_.Snapshot(); }
-
- private:
-  DominanceMode mode_;
-  SharedPackedMupIndex<W> index_;
-};
-
-/// The shared dive frontier of the parallel search: a LIFO stack of
-/// pending nodes plus a count of nodes being processed. Pop blocks while
-/// the stack is empty but some worker may still push children, and returns
-/// false once both are exhausted. PackedPattern is a small trivially
-/// copyable value, so the stack moves whole keys, not heap cells.
-template <int W>
-class DiveQueue {
- public:
-  explicit DiveQueue(const PackedPattern<W>& root) { stack_.push_back(root); }
-
-  bool Pop(PackedPattern<W>& out) {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      if (!stack_.empty()) {
-        out = stack_.back();
-        stack_.pop_back();
-        ++active_;
-        return true;
-      }
-      if (active_ == 0) {
-        cv_.notify_all();
-        return false;
-      }
-      cv_.wait(lock);
-    }
-  }
-
-  void Push(const PackedPattern<W>* items, std::size_t count) {
-    if (count == 0) return;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      stack_.insert(stack_.end(), items, items + count);
-    }
-    cv_.notify_all();
-  }
-
-  void FinishItem() {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (--active_ == 0 && stack_.empty()) cv_.notify_all();
-  }
-
-  class ItemGuard {
-   public:
-    explicit ItemGuard(DiveQueue& queue) : queue_(queue) {}
-    ~ItemGuard() { queue_.FinishItem(); }
-    ItemGuard(const ItemGuard&) = delete;
-    ItemGuard& operator=(const ItemGuard&) = delete;
-
-   private:
-    DiveQueue& queue_;
-  };
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<PackedPattern<W>> stack_;
-  int active_ = 0;
+struct DiveExchange {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<PackedPattern<W>> spill;
+  std::vector<PackedPattern<W>> log;
+  bool done = false;
+  std::atomic<std::size_t> found{0};
+  std::atomic<int> idle{0};
 };
 
 /// Climbs from an uncovered node through uncovered parents until every
@@ -220,10 +142,10 @@ PackedPattern<W> ClimbToMup(const PackedPattern<W>& start,
 }
 
 /// Appends p's Rule-1 children to `out`; returns how many were generated.
-template <int W, typename Vec>
+template <int W>
 std::size_t PushRule1Children(const PackedPattern<W>& p,
-                              const PatternCodec& codec,
-                              const Schema& schema, Vec& out) {
+                              const PatternCodec& codec, const Schema& schema,
+                              std::vector<PackedPattern<W>>& out) {
   std::size_t generated = 0;
   const int d = codec.num_attributes();
   const int start = codec.RightmostDeterministic(p) + 1;
@@ -237,127 +159,177 @@ std::size_t PushRule1Children(const PackedPattern<W>& p,
   return generated;
 }
 
+/// One DEEPDIVER worker: Algorithm 3's dive loop over a private LIFO stack,
+/// memo and MUP-index replica, trading with the others through a
+/// DiveExchange. A replica only ever holds true MUPs, and pruning against a
+/// subset of the MUP set is sound in both directions (below a known MUP ⇒
+/// uncovered, above one ⇒ covered), so stale replicas cost duplicate climbs,
+/// never a wrong answer. With one worker nothing is ever traded and the loop
+/// runs in exactly the serial order.
 template <int W>
-std::vector<PackedPattern<W>> DeepDiverParallel(
-    const CoverageOracle& oracle, const Schema& schema,
-    const PatternCodec& codec, const MupSearchOptions& options,
-    MupSearchStats* stats) {
-  const int d = schema.num_attributes();
-  const int max_level = options.max_level < 0 ? d : options.max_level;
+class DiveWorker {
+ public:
+  using Key = PackedPattern<W>;
 
-  SharedDominanceChecker<W> index(schema, codec, options.dominance_mode);
-  DiveQueue<W> queue(codec.Root<W>());
+  DiveWorker(const CoverageOracle& oracle, const Schema& schema,
+             const PatternCodec& codec, const MupSearchOptions& options,
+             int num_workers, DiveExchange<W>& exchange)
+      : schema_(schema),
+        codec_(codec),
+        max_level_(options.max_level < 0 ? schema.num_attributes()
+                                         : options.max_level),
+        num_workers_(num_workers),
+        exchange_(exchange),
+        cov_(oracle, codec, options.tau, &arena_),
+        index_(schema, codec, options.dominance_mode) {}
 
-  ThreadPool pool(options.num_threads);
-  const int workers = pool.num_workers();
-  std::vector<std::uint64_t> worker_queries(
-      static_cast<std::size_t>(workers), 0);
-  std::vector<std::uint64_t> worker_generated(
-      static_cast<std::size_t>(workers), 0);
-  std::vector<std::uint64_t> worker_pruned(
-      static_cast<std::size_t>(workers), 0);
-
-  pool.RunOnAll([&](int worker) {
-    Arena arena;
-    CachingCoverage<W> cov(oracle, codec, options.tau, &arena);
-    std::vector<PackedPattern<W>> children;
-    std::uint64_t generated = 0;
-    std::uint64_t pruned = 0;
-    PackedPattern<W> p;
-    while (queue.Pop(p)) {
-      const typename DiveQueue<W>::ItemGuard guard(queue);
-      if (index.Contains(p) || index.IsDominated(p)) {
-        ++pruned;
-        continue;
+  void Run() {
+    while (!stack_.empty() || Refill()) {
+      const Key p = stack_.back();
+      stack_.pop_back();
+      Visit(p);
+      if (exchange_.found.load(std::memory_order_relaxed) != pulled_) {
+        const std::lock_guard<std::mutex> lock(exchange_.mu);
+        PullLocked();
       }
-
-      bool covered;
-      if (index.DominatesSome(p)) {
-        covered = true;
-      } else {
-        covered = cov.Covered(p);
+      if (stack_.size() >= 2 &&
+          exchange_.idle.load(std::memory_order_relaxed) > 0) {
+        Spill();
       }
-
-      if (covered) {
-        if (p.level() < max_level) {
-          children.clear();
-          generated += PushRule1Children(p, codec, schema, children);
-          queue.Push(children.data(), children.size());
-        }
-        continue;
-      }
-
-      index.AddIfAbsent(ClimbToMup(p, codec, cov));
     }
-    worker_queries[static_cast<std::size_t>(worker)] = cov.num_queries();
-    worker_generated[static_cast<std::size_t>(worker)] = generated;
-    worker_pruned[static_cast<std::size_t>(worker)] = pruned;
+  }
+
+  std::uint64_t queries() const { return cov_.num_queries(); }
+  std::uint64_t generated() const { return generated_; }
+  std::uint64_t pruned() const { return pruned_; }
+
+ private:
+  void Visit(const Key& p) {
+    if (index_.Contains(p) || index_.IsDominated(p)) {
+      ++pruned_;
+      return;
+    }
+    const bool covered = index_.DominatesSome(p) || cov_.Covered(p);
+    if (covered) {
+      if (p.level() < max_level_) {
+        generated_ += PushRule1Children(p, codec_, schema_, stack_);
+      }
+      return;
+    }
+    const Key mup = ClimbToMup(p, codec_, cov_);
+    if (index_.Contains(mup)) return;
+    index_.Add(mup);
+    const std::lock_guard<std::mutex> lock(exchange_.mu);
+    exchange_.log.push_back(mup);
+    PullLocked();
+  }
+
+  /// Adds the log entries this worker has not seen to its replica; its own
+  /// and other duplicate discoveries are already members.
+  void PullLocked() {
+    const std::vector<Key>& log = exchange_.log;
+    for (; pulled_ < log.size(); ++pulled_) {
+      if (!index_.Contains(log[pulled_])) index_.Add(log[pulled_]);
+    }
+    exchange_.found.store(log.size(), std::memory_order_relaxed);
+  }
+
+  /// Hands the bottom half of the stack — the shallowest nodes, whose
+  /// subtrees are the largest — to the waiting workers.
+  void Spill() {
+    const std::size_t give = stack_.size() / 2;
+    {
+      const std::lock_guard<std::mutex> lock(exchange_.mu);
+      exchange_.spill.insert(exchange_.spill.end(), stack_.begin(),
+                             stack_.begin() + static_cast<std::ptrdiff_t>(give));
+    }
+    stack_.erase(stack_.begin(),
+                 stack_.begin() + static_cast<std::ptrdiff_t>(give));
+    exchange_.cv.notify_all();
+  }
+
+  /// Takes this worker's share of the spill stack, waiting while it is
+  /// empty and some worker is still diving. Returns false once every worker
+  /// is out of nodes: nothing can be spilled any more, so the search is over.
+  bool Refill() {
+    std::unique_lock<std::mutex> lock(exchange_.mu);
+    for (;;) {
+      PullLocked();
+      std::vector<Key>& spill = exchange_.spill;
+      if (!spill.empty()) {
+        const int idle = exchange_.idle.load(std::memory_order_relaxed);
+        const std::size_t take =
+            (spill.size() + static_cast<std::size_t>(idle)) /
+            (static_cast<std::size_t>(idle) + 1);
+        const auto from = spill.end() - static_cast<std::ptrdiff_t>(take);
+        stack_.insert(stack_.end(), from, spill.end());
+        spill.erase(from, spill.end());
+        if (!spill.empty()) exchange_.cv.notify_all();
+        return true;
+      }
+      if (exchange_.done) return false;
+      if (exchange_.idle.load(std::memory_order_relaxed) + 1 == num_workers_) {
+        exchange_.done = true;
+        exchange_.cv.notify_all();
+        return false;
+      }
+      exchange_.idle.fetch_add(1, std::memory_order_relaxed);
+      exchange_.cv.wait(lock);
+      exchange_.idle.fetch_sub(1, std::memory_order_relaxed);
+    }
+  }
+
+  const Schema& schema_;
+  const PatternCodec& codec_;
+  const int max_level_;
+  const int num_workers_;
+  DiveExchange<W>& exchange_;
+  Arena arena_;
+  CachingCoverage<W> cov_;
+  DominanceChecker<W> index_;
+  std::vector<Key> stack_;
+  std::size_t pulled_ = 0;  // log prefix already in the replica
+  std::uint64_t generated_ = 0;
+  std::uint64_t pruned_ = 0;
+};
+
+template <int W>
+std::vector<PackedPattern<W>> DeepDiver(const CoverageOracle& oracle,
+                                        const Schema& schema,
+                                        const PatternCodec& codec,
+                                        const MupSearchOptions& options,
+                                        MupSearchStats* stats) {
+  DiveExchange<W> exchange;
+  exchange.spill.push_back(codec.Root<W>());
+  const int workers = options.num_threads > 1 ? options.num_threads : 1;
+  ThreadPool pool(workers);
+  std::vector<std::array<std::uint64_t, 3>> counters(
+      static_cast<std::size_t>(workers));
+  pool.RunOnAll([&](int worker) {
+    DiveWorker<W> diver(oracle, schema, codec, options, workers, exchange);
+    try {
+      diver.Run();
+    } catch (...) {
+      // Release the waiting workers; the pool rethrows once all return.
+      const std::lock_guard<std::mutex> lock(exchange.mu);
+      exchange.done = true;
+      exchange.cv.notify_all();
+      throw;
+    }
+    counters[static_cast<std::size_t>(worker)] = {
+        diver.queries(), diver.generated(), diver.pruned()};
   });
 
-  std::vector<PackedPattern<W>> mups = index.Snapshot();
+  std::vector<PackedPattern<W>> mups = std::move(exchange.log);
   std::sort(mups.begin(), mups.end(), PackedLess{&codec});
+  mups.erase(std::unique(mups.begin(), mups.end()), mups.end());
   if (stats != nullptr) {
-    for (int w = 0; w < workers; ++w) {
-      stats->coverage_queries += worker_queries[static_cast<std::size_t>(w)];
-      stats->nodes_generated += worker_generated[static_cast<std::size_t>(w)];
-      stats->nodes_pruned += worker_pruned[static_cast<std::size_t>(w)];
+    stats->nodes_generated = 1;  // the root
+    for (const auto& [queries, generated, pruned] : counters) {
+      stats->coverage_queries += queries;
+      stats->nodes_generated += generated;
+      stats->nodes_pruned += pruned;
     }
-    stats->nodes_generated += 1;  // the root
-  }
-  return mups;
-}
-
-template <int W>
-std::vector<PackedPattern<W>> DeepDiverSerial(const CoverageOracle& oracle,
-                                              const Schema& schema,
-                                              const PatternCodec& codec,
-                                              const MupSearchOptions& options,
-                                              MupSearchStats* stats) {
-  const int d = schema.num_attributes();
-  const int max_level = options.max_level < 0 ? d : options.max_level;
-
-  Arena arena;
-  CachingCoverage<W> cov(oracle, codec, options.tau, &arena);
-  DominanceChecker<W> index(schema, codec, options.dominance_mode);
-  ArenaVector<PackedPattern<W>> stack(&arena);
-  stack.push_back(codec.Root<W>());
-  std::uint64_t nodes_generated = 1;
-  std::uint64_t nodes_pruned = 0;
-
-  while (!stack.empty()) {
-    const PackedPattern<W> p = stack.back();
-    stack.pop_back();
-
-    if (index.Contains(p) || index.IsDominated(p)) {
-      ++nodes_pruned;
-      continue;
-    }
-
-    bool covered;
-    if (index.DominatesSome(p)) {
-      covered = true;
-    } else {
-      covered = cov.Covered(p);
-    }
-
-    if (covered) {
-      if (p.level() < max_level) {
-        nodes_generated += PushRule1Children(p, codec, schema, stack);
-      }
-      continue;
-    }
-
-    const PackedPattern<W> mup = ClimbToMup(p, codec, cov);
-    if (!index.Contains(mup)) index.Add(mup);
-  }
-
-  std::vector<PackedPattern<W>> mups = index.mups();
-  std::sort(mups.begin(), mups.end(), PackedLess{&codec});
-  if (stats != nullptr) {
-    stats->coverage_queries = cov.num_queries();
-    stats->nodes_generated = nodes_generated;
-    stats->nodes_pruned = nodes_pruned;
-    stats->num_mups = mups.size();
   }
   return mups;
 }
@@ -374,11 +346,7 @@ PackedMupSet FindMupsDeepDiverPacked(const CoverageOracle& oracle,
   PackedMupSet mups =
       WithKeyWidth(codec, [&]<int W>(std::integral_constant<int, W>) {
         return PackedMupSet(
-            codec, options.num_threads > 1
-                       ? DeepDiverParallel<W>(oracle, schema, codec, options,
-                                              stats)
-                       : DeepDiverSerial<W>(oracle, schema, codec, options,
-                                            stats));
+            codec, DeepDiver<W>(oracle, schema, codec, options, stats));
       });
   if (stats != nullptr) {
     stats->seconds = timer.ElapsedSeconds();

@@ -3,8 +3,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -22,7 +20,7 @@ namespace coverage {
 /// membership set hashes W words instead of d cells. The searches and the
 /// engine's maintenance use this.
 ///
-/// Thread-safety: none — wrap in SharedPackedMupIndex for concurrent use.
+/// Thread-safety: none. Parallel DEEPDIVER gives each worker its own replica.
 template <int W>
 class PackedMupIndex {
  public:
@@ -177,43 +175,6 @@ class PackedMupIndex {
   std::vector<Key> mups_;
   std::unordered_map<Key, std::size_t, PackedPatternHash<W>> member_index_;
   std::size_t reserved_bits_ = 0;
-};
-
-/// Reader/writer-locked facade, mirroring SharedMupDominanceIndex.
-template <int W>
-class SharedPackedMupIndex {
- public:
-  using Key = PackedPattern<W>;
-
-  SharedPackedMupIndex(const Schema& schema, const PatternCodec& codec)
-      : index_(schema, codec) {}
-
-  bool AddIfAbsent(const Key& mup) {
-    std::unique_lock lock(mu_);
-    if (index_.Contains(mup)) return false;
-    index_.Add(mup);
-    return true;
-  }
-
-  template <typename Fn>
-  auto WithReadLock(Fn&& fn) const {
-    std::shared_lock lock(mu_);
-    return fn(static_cast<const PackedMupIndex<W>&>(index_));
-  }
-
-  bool Contains(const Key& p) const {
-    return WithReadLock(
-        [&](const PackedMupIndex<W>& i) { return i.Contains(p); });
-  }
-
-  std::vector<Key> Snapshot() const {
-    std::shared_lock lock(mu_);
-    return index_.mups();
-  }
-
- private:
-  mutable std::shared_mutex mu_;
-  PackedMupIndex<W> index_;
 };
 
 }  // namespace coverage

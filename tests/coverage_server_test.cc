@@ -46,8 +46,8 @@ std::string Normalized(const std::string& json_text) {
 }
 
 /// num_threads defaults to 1 because the byte-equivalence tests compare
-/// MupSearchStats too, and the parallel DEEPDIVER's shared work queue makes
-/// its *query counts* (not its MUP set) run-dependent.
+/// MupSearchStats too, and the parallel DEEPDIVER's work sharing makes its
+/// *query counts* (not its MUP set) run-dependent.
 CoverageService MakeCompasService(int num_threads = 1) {
   ServiceOptions options;
   options.num_threads = num_threads;

@@ -63,8 +63,9 @@ TEST_P(ParallelDeterminismTest, DeepDiverMatchesSerialOnCompas) {
 }
 
 TEST_P(ParallelDeterminismTest, BothAlgorithmsMatchOnDiagonalData) {
-  // MakeDiagonal spreads MUPs across levels; run every dominance mode so the
-  // shared-index locking is exercised through all three strategies.
+  // MakeDiagonal spreads MUPs across levels; run every dominance mode so
+  // DEEPDIVER's per-worker index replicas are exercised through all three
+  // strategies.
   const Dataset data = datagen::MakeDiagonal(8);
   const AggregatedData agg(data);
   const BitmapCoverage oracle(agg);
@@ -160,6 +161,103 @@ TEST_P(ParallelDeterminismTest, LevelLimitedSearchMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, ParallelDeterminismTest,
                          ::testing::Values(1, 2, 8));
+
+// Edge cases of DEEPDIVER's idle/publish protocol: searches with almost no
+// work to share (termination with idle workers), more workers than the root
+// has children, and level caps that stop the dive at the root or its
+// children. Every worker count and dominance mode must return the 1-worker
+// set, sorted and free of duplicates (two workers may climb to the same MUP
+// before either sees the other's publication).
+class DiveExchangeEdgeCases : public ::testing::TestWithParam<int> {
+ protected:
+  static Dataset FromRows(const Schema& schema,
+                          const std::vector<std::vector<Value>>& rows) {
+    Dataset data(schema);
+    for (const auto& row : rows) data.AppendRow(row);
+    return data;
+  }
+
+  /// Runs DEEPDIVER with 1 and GetParam() workers under every dominance
+  /// mode and returns the 1-worker set.
+  std::vector<Pattern> ExpectMatchesSerial(const Dataset& data,
+                                           std::uint64_t tau,
+                                           int max_level = -1) {
+    const AggregatedData agg(data);
+    const BitmapCoverage oracle(agg);
+    std::vector<Pattern> serial_bitmap;
+    for (const auto mode : {MupSearchOptions::DominanceMode::kBitmapIndex,
+                            MupSearchOptions::DominanceMode::kLinearScan,
+                            MupSearchOptions::DominanceMode::kNoPruning}) {
+      MupSearchOptions options;
+      options.tau = tau;
+      options.max_level = max_level;
+      options.dominance_mode = mode;
+      const auto serial = FindMupsDeepDiver(oracle, options);
+      options.num_threads = GetParam();
+      MupSearchStats stats;
+      const auto parallel = FindMupsDeepDiver(oracle, options, &stats);
+      for (std::size_t i = 1; i < parallel.size(); ++i) {
+        EXPECT_TRUE(parallel[i - 1] < parallel[i])
+            << "unsorted or duplicated at " << parallel[i].ToString();
+      }
+      EXPECT_EQ(Render(parallel), Render(serial));
+      EXPECT_EQ(stats.num_mups, serial.size());
+      if (mode == MupSearchOptions::DominanceMode::kBitmapIndex) {
+        serial_bitmap = serial;
+      } else {
+        EXPECT_EQ(Render(serial), Render(serial_bitmap));
+      }
+    }
+    return serial_bitmap;
+  }
+};
+
+TEST_P(DiveExchangeEdgeCases, RootIsTheOnlyMup) {
+  const Dataset data =
+      FromRows(Schema::Binary(3), {{0, 0, 0}, {1, 1, 0}, {0, 1, 1}});
+  const auto mups = ExpectMatchesSerial(data, /*tau=*/4);
+  ASSERT_EQ(mups.size(), 1u);
+  EXPECT_EQ(mups[0].level(), 0);
+}
+
+TEST_P(DiveExchangeEdgeCases, NoMups) {
+  std::vector<std::vector<Value>> rows;
+  for (Value a = 0; a < 2; ++a) {
+    for (Value b = 0; b < 2; ++b) {
+      for (Value c = 0; c < 2; ++c) rows.push_back({a, b, c});
+    }
+  }
+  EXPECT_TRUE(ExpectMatchesSerial(FromRows(Schema::Binary(3), rows), 1)
+                  .empty());
+}
+
+TEST_P(DiveExchangeEdgeCases, MaxLevelZeroAndOne) {
+  const Dataset data = datagen::MakeAirbnb(3000, 8);
+  // Level 0 with a covered root: no MUP at or above level 0.
+  EXPECT_TRUE(ExpectMatchesSerial(data, 40, /*max_level=*/0).empty());
+  // Level 0 with an uncovered root: the root itself.
+  EXPECT_EQ(ExpectMatchesSerial(data, 3001, /*max_level=*/0).size(), 1u);
+  // Level 1: exactly the uncovered single-attribute values.
+  const auto level1 = ExpectMatchesSerial(data, 400, /*max_level=*/1);
+  ASSERT_FALSE(level1.empty());
+  for (const Pattern& p : level1) EXPECT_EQ(p.level(), 1);
+}
+
+TEST_P(DiveExchangeEdgeCases, MoreWorkersThanRootFanOut) {
+  // Two binary attributes: the root has four children, so at 8 workers
+  // most of them never receive a node and must still terminate.
+  const Dataset data =
+      FromRows(Schema::Binary(2), {{0, 0}, {0, 0}, {0, 1}, {1, 0}, {0, 0}});
+  const auto mups = ExpectMatchesSerial(data, /*tau=*/2);
+  const AggregatedData agg(data);
+  const BitmapCoverage oracle(agg);
+  EXPECT_EQ(Render(mups), Render(FindMupsPatternBreaker(
+                              oracle, MupSearchOptions{.tau = 2})));
+  EXPECT_EQ(mups.size(), 2u);  // 1X and X1
+}
+
+INSTANTIATE_TEST_SUITE_P(WorkerCounts, DiveExchangeEdgeCases,
+                         ::testing::Values(2, 4, 8));
 
 TEST(SharedOracle, ConcurrentQueriesOneInstance) {
   // The thread-safety contract of the redesigned oracle: many threads, one
