@@ -124,7 +124,7 @@ int main() {
          "closed-loop clients, keep-alive, ephemeral port");
 
   ServiceOptions sopts;
-  sopts.num_threads = 1;  // per-leased-pool width; queries here are single
+  sopts.num_threads = 1;  // per-request worker cap; queries here are single
   auto service = CoverageService::FromSpec(DatagenSpec{"compas", 0, 13, 42},
                                            sopts);
   if (!service.ok()) {

@@ -39,6 +39,7 @@
 ///   auto mups = FindMupsDeepDiver(oracle, opts);   // Problem 1
 
 #include "common/bitvector.h"           // IWYU pragma: export
+#include "common/executor.h"            // IWYU pragma: export
 #include "common/rng.h"                 // IWYU pragma: export
 #include "common/status.h"              // IWYU pragma: export
 #include "common/stopwatch.h"           // IWYU pragma: export
@@ -83,6 +84,5 @@
 #include "server/json.h"                // IWYU pragma: export
 #include "server/wire.h"                // IWYU pragma: export
 #include "service/coverage_service.h"   // IWYU pragma: export
-#include "service/pool_arena.h"         // IWYU pragma: export
 
 #endif  // COVERAGE_COVERAGE_LIB_H_

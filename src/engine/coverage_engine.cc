@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "common/arena.h"
+#include "common/executor.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "dataset/csv_stream.h"
 #include "mups/packed_index.h"
 #include "pattern/packed_set.h"
@@ -404,14 +404,12 @@ template <typename Probe>
 void CoverageEngine::ForEachRecheck(std::size_t n, EngineUpdateStats* stats,
                                     Probe&& probe) {
   if (options_.num_threads > 1 && n >= 128) {
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    }
     std::vector<QueryContext> ctxs(
-        static_cast<std::size_t>(pool_->num_workers()));
-    pool_->ParallelFor(n, 64, [&](int worker, std::size_t i) {
-      probe(i, ctxs[static_cast<std::size_t>(worker)]);
-    });
+        static_cast<std::size_t>(options_.num_threads));
+    Executor::Shared().ParallelFor(
+        n, 64, options_.num_threads, [&](int worker, std::size_t i) {
+          probe(i, ctxs[static_cast<std::size_t>(worker)]);
+        });
     for (const QueryContext& ctx : ctxs) {
       stats->coverage_queries += ctx.num_queries();
     }
@@ -447,7 +445,7 @@ std::vector<Pattern> CoverageEngine::UpdateMupsAt(
   for (const Pattern& m : old_mups) old_packed.push_back(codec.Encode<W>(m));
 
   // Phase 1 — recheck every previous MUP against the grown counts. The
-  // probes are independent, so they parallelise over the pool with a
+  // probes are independent, so they parallelise over the executor with a
   // deterministic merge by index.
   std::vector<char> covered(old_packed.size(), 0);
   ForEachRecheck(old_packed.size(), stats,

@@ -20,8 +20,6 @@
 
 namespace coverage {
 
-class ThreadPool;
-
 /// Write-ahead-log durability policy. Consumed by persist::DurableEngine —
 /// the engine itself performs no IO; the knob lives here so one options
 /// struct configures a session end to end.
@@ -40,9 +38,9 @@ struct EngineOptions {
   /// When >= 0, maintain only MUPs of level <= max_level (§V-C3).
   int max_level = -1;
 
-  /// Worker count for the epoch updates: the old-MUP recheck sweep is
-  /// distributed over a pool of this size (deterministic — results are
-  /// merged by index). 1 runs everything inline.
+  /// Worker cap for the epoch updates: the old-MUP recheck sweep runs on up
+  /// to this many executor workers (deterministic — results are merged by
+  /// index). 1 runs everything inline.
   int num_threads = 1;
 
   /// Dominance strategy for the incremental maintenance pruning, mirroring
@@ -327,7 +325,7 @@ class CoverageEngine {
                                      const std::vector<Pattern>& seeds,
                                      EngineUpdateStats* stats);
 
-  /// Runs `probe(i, ctx)` for i in [0, n), on the recheck pool when the
+  /// Runs `probe(i, ctx)` for i in [0, n), on the shared executor when the
   /// engine is multi-threaded and n is large enough to amortise fan-out,
   /// and adds the contexts' query counts to `stats`.
   template <typename Probe>
@@ -368,9 +366,6 @@ class CoverageEngine {
   /// consistent cut of snapshot + window state.
   mutable std::mutex writer_mu_;
   std::shared_ptr<const Snapshot> current_;
-  /// Lazily built recheck pool, reused across epochs (guarded by writer_mu_)
-  /// so a long chunked ingest pays thread spawn once, not per chunk.
-  std::unique_ptr<ThreadPool> pool_;
   /// Sliding-window bookkeeping (guarded by writer_mu_): the retained
   /// append batches, oldest first, and their total row count. Empty unless
   /// a window limit is configured.

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/executor.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "mups/mups.h"
 #include "mups/packed_index.h"
 #include "pattern/packed_set.h"
@@ -99,18 +99,22 @@ class DominanceChecker {
 };
 
 /// What the DEEPDIVER workers share, all of it behind one mutex: a spill
-/// stack of undived nodes (seeded with the root), the count of workers
-/// waiting on it, and the append-only log of discovered MUPs. Everything
-/// else — dive stack, memo, MUP-index replica — is per worker, so a worker
-/// locks only to exchange something. `found` mirrors `log.size()` and
-/// `idle` doubles as the "someone is hungry" signal; both are written under
-/// the mutex and read relaxed, so a worker with nothing to trade never locks.
+/// stack of undived nodes (seeded with the root), the counts of workers that
+/// joined and of those waiting on the spill stack, and the append-only log
+/// of discovered MUPs. Everything else — dive stack, memo, MUP-index replica
+/// — is per worker, so a worker locks only to exchange something. The
+/// executor decides at run time how many workers join, so termination is
+/// "every worker that joined is idle", and a worker arriving after `done`
+/// leaves at once. `found` mirrors `log.size()` and `idle` doubles as the
+/// "someone is hungry" signal; both are written under the mutex and read
+/// relaxed, so a worker with nothing to trade never locks.
 template <int W>
 struct DiveExchange {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<PackedPattern<W>> spill;
   std::vector<PackedPattern<W>> log;
+  int joined = 0;
   bool done = false;
   std::atomic<std::size_t> found{0};
   std::atomic<int> idle{0};
@@ -173,12 +177,11 @@ class DiveWorker {
 
   DiveWorker(const CoverageOracle& oracle, const Schema& schema,
              const PatternCodec& codec, const MupSearchOptions& options,
-             int num_workers, DiveExchange<W>& exchange)
+             DiveExchange<W>& exchange)
       : schema_(schema),
         codec_(codec),
         max_level_(options.max_level < 0 ? schema.num_attributes()
                                          : options.max_level),
-        num_workers_(num_workers),
         exchange_(exchange),
         cov_(oracle, codec, options.tau, &arena_),
         index_(schema, codec, options.dominance_mode) {}
@@ -268,7 +271,8 @@ class DiveWorker {
         return true;
       }
       if (exchange_.done) return false;
-      if (exchange_.idle.load(std::memory_order_relaxed) + 1 == num_workers_) {
+      if (exchange_.idle.load(std::memory_order_relaxed) + 1 ==
+          exchange_.joined) {
         exchange_.done = true;
         exchange_.cv.notify_all();
         return false;
@@ -282,7 +286,6 @@ class DiveWorker {
   const Schema& schema_;
   const PatternCodec& codec_;
   const int max_level_;
-  const int num_workers_;
   DiveExchange<W>& exchange_;
   Arena arena_;
   CachingCoverage<W> cov_;
@@ -302,15 +305,19 @@ std::vector<PackedPattern<W>> DeepDiver(const CoverageOracle& oracle,
   DiveExchange<W> exchange;
   exchange.spill.push_back(codec.Root<W>());
   const int workers = options.num_threads > 1 ? options.num_threads : 1;
-  ThreadPool pool(workers);
   std::vector<std::array<std::uint64_t, 3>> counters(
       static_cast<std::size_t>(workers));
-  pool.RunOnAll([&](int worker) {
-    DiveWorker<W> diver(oracle, schema, codec, options, workers, exchange);
+  Executor::Shared().Run(workers, [&](int worker) {
+    {
+      const std::lock_guard<std::mutex> lock(exchange.mu);
+      if (exchange.done) return;
+      ++exchange.joined;
+    }
+    DiveWorker<W> diver(oracle, schema, codec, options, exchange);
     try {
       diver.Run();
     } catch (...) {
-      // Release the waiting workers; the pool rethrows once all return.
+      // Release the waiting workers; Run rethrows once all return.
       const std::lock_guard<std::mutex> lock(exchange.mu);
       exchange.done = true;
       exchange.cv.notify_all();

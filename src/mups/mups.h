@@ -28,13 +28,14 @@ struct MupSearchOptions {
   /// tens of attributes). -1 means unlimited.
   int max_level = -1;
 
-  /// Worker count for PATTERN-BREAKER, DEEPDIVER, and PATTERN-COMBINER.
+  /// Worker cap for PATTERN-BREAKER, DEEPDIVER, and PATTERN-COMBINER.
   /// 1 (the default) runs the serial algorithms; N > 1 evaluates
-  /// PATTERN-BREAKER's BFS frontiers and DEEPDIVER's dives on a pool of N
-  /// workers sharing one oracle (each worker queries through its own
-  /// QueryContext), and shards PATTERN-COMBINER's level-d pass over the
-  /// combination space. The returned MUP set is identical to the serial one
-  /// for any N. Other algorithms ignore this.
+  /// PATTERN-BREAKER's BFS frontiers and DEEPDIVER's dives on up to N
+  /// workers of the process-wide Executor sharing one oracle (each worker
+  /// queries through its own QueryContext), and shards PATTERN-COMBINER's
+  /// level-d pass over the combination space. The returned MUP set is
+  /// identical to the serial one for any N and however many workers join.
+  /// Other algorithms ignore this.
   int num_threads = 1;
 
   /// Upper bound on guarded exponential enumerations (naive pattern-graph
@@ -113,7 +114,7 @@ inline constexpr int kPlannerWideMaxLevel = 3;
 inline constexpr double kPlannerSparseDensity = 1.0 / 16.0;
 
 /// Below this many pattern-graph nodes a parallel search is not worth its
-/// pool startup + work-queue synchronisation: every algorithm's per-node
+/// fan-out and work-sharing synchronisation: every algorithm's per-node
 /// cost is a handful of bitmap intersections, so a graph this small is over
 /// before the workers warm up. The planner answers num_threads = 1 here
 /// regardless of the caller's cap.
@@ -186,7 +187,7 @@ inline std::vector<Pattern> FindMupsPatternBreaker(
 /// children, so the dataset is only consulted for the level-d pass. That pass
 /// enumerates all Π c_i full combinations and is guarded by
 /// `options.enumeration_limit`; with `options.num_threads > 1` it is sharded
-/// over the shared ThreadPool (bit-identical output for any worker count).
+/// over the shared Executor (bit-identical output for any worker count).
 StatusOr<std::vector<Pattern>> FindMupsPatternCombiner(
     const BitmapCoverage& oracle, const MupSearchOptions& options,
     MupSearchStats* stats = nullptr);

@@ -3,8 +3,8 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/executor.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "mups/mups.h"
 #include "pattern/packed_set.h"
 
@@ -51,9 +51,7 @@ std::vector<PackedPattern<W>> PatternBreaker(const CoverageOracle& oracle,
   const int max_level = options.max_level < 0 ? d : options.max_level;
 
   const int num_workers = options.num_threads > 1 ? options.num_threads : 1;
-  ThreadPool pool(num_workers);
-  std::vector<QueryContext> contexts(
-      static_cast<std::size_t>(pool.num_workers()));
+  std::vector<QueryContext> contexts(static_cast<std::size_t>(num_workers));
 
   // Frontier memory: the queue and covered set of one BFS level live in one
   // arena; each new level builds into the other arena and the exhausted one
@@ -87,13 +85,13 @@ std::vector<PackedPattern<W>> PatternBreaker(const CoverageOracle& oracle,
                                  "search_level_" + std::to_string(level));
     outcomes.assign(queue.size(), NodeOutcome::kSkipped);
     if (num_workers > 1 && queue.size() > 1) {
-      pool.ParallelFor(queue.size(), /*chunk=*/16,
-                       [&](int worker, std::size_t i) {
-                         outcomes[i] = EvaluateNode(
-                             queue[i], codec, oracle, options.tau,
-                             prev_covered, mup_set,
-                             contexts[static_cast<std::size_t>(worker)]);
-                       });
+      Executor::Shared().ParallelFor(
+          queue.size(), /*chunk=*/16, num_workers,
+          [&](int worker, std::size_t i) {
+            outcomes[i] = EvaluateNode(
+                queue[i], codec, oracle, options.tau, prev_covered, mup_set,
+                contexts[static_cast<std::size_t>(worker)]);
+          });
     } else {
       for (std::size_t i = 0; i < queue.size(); ++i) {
         outcomes[i] = EvaluateNode(queue[i], codec, oracle, options.tau,

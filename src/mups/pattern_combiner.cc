@@ -4,8 +4,8 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/executor.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "mups/mups.h"
 #include "pattern/packed_set.h"
 #include "pattern/pattern_ops.h"
@@ -56,9 +56,9 @@ StatusOr<std::vector<PackedPattern<W>>> PatternCombiner(
         std::vector<std::pair<PackedPattern<W>, std::uint64_t>>;
     std::vector<Uncovered> block_uncovered(num_blocks);
     std::vector<std::uint64_t> block_nodes(num_blocks, 0);
-    ThreadPool pool(num_workers);
-    pool.ParallelFor(
-        num_blocks, /*chunk=*/1, [&](int /*worker*/, std::size_t b) {
+    Executor::Shared().ParallelFor(
+        num_blocks, /*chunk=*/1, num_workers,
+        [&](int /*worker*/, std::size_t b) {
           Pattern block = Pattern::Root(d);
           std::uint64_t rest = b;
           for (int a = prefix_len - 1; a >= 0; --a) {

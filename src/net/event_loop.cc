@@ -10,6 +10,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/executor.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 
@@ -88,11 +89,8 @@ Status EventLoop::Start() {
   }
   listener_active_ = true;
 
-  int workers = options_.num_workers;
-  if (workers <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    workers = hw == 0 ? 1 : static_cast<int>(hw);
-  }
+  const int workers =
+      options_.num_workers > 0 ? options_.num_workers : HardwareWorkers();
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { WorkerMain(); });

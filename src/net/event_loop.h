@@ -40,8 +40,7 @@ struct EventLoopOptions {
   http::MessageReader::Limits limits;
 
   /// Dispatch worker threads (handlers only — all socket I/O stays on the
-  /// loop thread). 0 clamps to hardware_concurrency, the ThreadPool
-  /// contract.
+  /// loop thread). 0 means HardwareWorkers().
   int num_workers = 4;
 
   int idle_timeout_ms = 30000;

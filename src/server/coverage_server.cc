@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "cluster/cluster_wire.h"
+#include "common/executor.h"
 #include "common/stopwatch.h"
 #include "obs/log.h"
 #include "obs/prometheus.h"
@@ -15,7 +16,6 @@
 #include "server/json.h"
 #include "server/wire.h"
 #include "server/wire_binary.h"
-#include "service/pool_arena.h"
 
 namespace coverage {
 
@@ -162,12 +162,6 @@ CoverageServer::CoverageServer(CoverageService service,
       options_(std::move(options)),
       http_(options_.http,
             [this](const Request& request) { return Handle(request); }) {
-  if (options_.session_defaults.thread_budget == nullptr) {
-    // One budget across every session the server opens: the registry-wide
-    // (in practice process-wide) cap of ServiceOptions::max_total_threads.
-    options_.session_defaults.thread_budget = std::make_shared<ThreadBudget>(
-        options_.session_defaults.max_total_threads);
-  }
   if (options_.metrics_registry != nullptr) {
     metrics_ = options_.metrics_registry;
   } else {
@@ -334,19 +328,16 @@ void CoverageServer::RegisterMetrics() {
         return static_cast<double>(CollectEngineGauges().window_rows);
       });
 
-  const std::shared_ptr<ThreadBudget> budget =
-      options_.session_defaults.thread_budget;
   metrics_->RegisterCallback(
-      "coverage_threads_reserved",
-      "Worker threads currently leased from the shared budget",
-      MetricType::kGauge, {},
-      [budget] { return static_cast<double>(budget->reserved()); });
-  metrics_->RegisterCallback(
-      "coverage_threads_budget",
-      "Budget cap on spawned worker threads (0 = unlimited)",
-      MetricType::kGauge, {}, [budget] {
-        return static_cast<double>(budget->max_spawned_threads());
+      "coverage_executor_threads",
+      "Helper threads of the process-wide search and query executor",
+      MetricType::kGauge, {}, [] {
+        return static_cast<double>(Executor::Shared().num_helpers());
       });
+  metrics_->RegisterCallback(
+      "coverage_executor_busy", "Executor helper threads inside a job",
+      MetricType::kGauge, {},
+      [] { return static_cast<double>(Executor::Shared().busy()); });
 
   metrics_->RegisterCallback(
       "coverage_persist_records_logged_total",
@@ -790,11 +781,10 @@ Response CoverageServer::HandleStats() const {
   engine["mups"] = gauges.mups;
   engine["tombstones"] = gauges.tombstones;
   engine["window_rows"] = gauges.window_rows;
-  const std::shared_ptr<ThreadBudget>& budget =
-      options_.session_defaults.thread_budget;
-  engine["threads_reserved"] = static_cast<std::uint64_t>(budget->reserved());
-  engine["threads_budget"] =
-      static_cast<std::int64_t>(budget->max_spawned_threads());
+  engine["executor_threads"] =
+      static_cast<std::uint64_t>(Executor::Shared().num_helpers());
+  engine["executor_busy"] =
+      static_cast<std::uint64_t>(Executor::Shared().busy());
 
   JsonValue::Object o;
   o["engine"] = std::move(engine);

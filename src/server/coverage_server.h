@@ -29,11 +29,7 @@ struct CoverageServerOptions {
   http::ServerOptions http;
 
   /// Defaults for sessions created via POST /v1/sessions; the request may
-  /// override tau / max_level / window limits. thread_budget should be the
-  /// same budget the service options carry, making max_total_threads a
-  /// process-wide cap (see ServiceOptions); when unset, one budget is
-  /// created from session_defaults.max_total_threads and shared by every
-  /// session the server opens.
+  /// override tau / max_level / window limits.
   CoverageService::SessionOptions session_defaults;
 
   /// Registry cap: POST /v1/sessions answers 429 beyond this.

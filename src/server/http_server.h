@@ -32,8 +32,7 @@ struct ServerOptions {
 
   /// Dispatch workers that run the request handler. All socket I/O stays
   /// on the one event-loop thread, so this bounds concurrent requests, not
-  /// open connections. 0 clamps to hardware_concurrency() (the ThreadPool
-  /// contract).
+  /// open connections. 0 means HardwareWorkers() (common/executor.h).
   int num_threads = 4;
 
   /// Hard bounds enforced while buffering, before any parsing work.

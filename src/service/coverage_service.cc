@@ -3,10 +3,9 @@
 #include <fstream>
 #include <utility>
 
+#include "common/executor.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "persist/durable_engine.h"
-#include "service/pool_arena.h"
 #include "datagen/adversarial.h"
 #include "datagen/airbnb.h"
 #include "datagen/bluenile.h"
@@ -49,45 +48,28 @@ QueryOutcome AnswerOne(const CoverageOracle& oracle, const QueryRequest& q,
   return out;
 }
 
-/// The shared fan-out of both query surfaces: N probes distributed over the
-/// leased pool in dynamically balanced chunks, one QueryContext per worker,
-/// results written to their request slot (so the output order is the request
-/// order no matter how workers interleave). A null pool — the arena's
-/// over-budget inline lease — answers serially on the caller's thread.
+/// The shared fan-out of both query surfaces: N probes distributed over up
+/// to `num_threads` executor workers in dynamically balanced chunks, one
+/// QueryContext per worker, results written to their request slot (so the
+/// output order is the request order no matter how workers interleave).
 QueryBatchResult RunQueryBatch(const CoverageOracle& oracle,
                                const std::vector<QueryRequest>& queries,
-                               ThreadPool* pool) {
+                               int num_threads) {
   Stopwatch timer;
   QueryBatchResult out;
   out.results.resize(queries.size());
-  const int workers = pool != nullptr ? pool->num_workers() : 1;
-  std::vector<QueryContext> contexts(static_cast<std::size_t>(workers));
-  if (workers > 1 && queries.size() > 1) {
-    pool->ParallelFor(queries.size(), /*chunk=*/8,
-                      [&](int worker, std::size_t i) {
-                        out.results[i] = AnswerOne(
-                            oracle, queries[i],
-                            contexts[static_cast<std::size_t>(worker)]);
-                      });
-  } else {
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      out.results[i] = AnswerOne(oracle, queries[i], contexts[0]);
-    }
-  }
+  std::vector<QueryContext> contexts(static_cast<std::size_t>(num_threads));
+  Executor::Shared().ParallelFor(
+      queries.size(), /*chunk=*/8, num_threads,
+      [&](int worker, std::size_t i) {
+        out.results[i] = AnswerOne(oracle, queries[i],
+                                   contexts[static_cast<std::size_t>(worker)]);
+      });
   for (const QueryContext& ctx : contexts) {
     out.coverage_queries += ctx.num_queries();
   }
   out.seconds = timer.ElapsedSeconds();
   return out;
-}
-
-std::unique_ptr<PoolArena> MakeArena(
-    int num_threads, int max_total_threads,
-    const std::shared_ptr<ThreadBudget>& shared_budget) {
-  return std::make_unique<PoolArena>(
-      num_threads, shared_budget != nullptr
-                       ? shared_budget
-                       : std::make_shared<ThreadBudget>(max_total_threads));
 }
 
 }  // namespace
@@ -96,10 +78,6 @@ std::unique_ptr<PoolArena> MakeArena(
 
 Status ServiceOptions::Validate() const {
   COVERAGE_RETURN_IF_ERROR(CheckThreads(num_threads));
-  if (max_total_threads < 0) {
-    return Status::InvalidArgument(
-        "max_total_threads must be >= 0 (0 = unlimited)");
-  }
   if (max_cardinality < 1) {
     return Status::InvalidArgument("max_cardinality must be positive");
   }
@@ -183,10 +161,6 @@ Status CoverageService::SessionOptions::Validate() const {
     return Status::InvalidArgument(
         "max_level must be -1 (unlimited) or >= 0");
   }
-  if (max_total_threads < 0) {
-    return Status::InvalidArgument(
-        "max_total_threads must be >= 0 (0 = unlimited)");
-  }
   return Status::OK();
 }
 
@@ -206,9 +180,7 @@ CoverageService::CoverageService(std::unique_ptr<AggregatedData> agg,
                                  ServiceOptions options)
     : options_(options),
       agg_(std::move(agg)),
-      oracle_(std::make_unique<BitmapCoverage>(*agg_)),
-      arena_(MakeArena(options.num_threads, options.max_total_threads,
-                       options.thread_budget)) {}
+      oracle_(std::make_unique<BitmapCoverage>(*agg_)) {}
 
 StatusOr<CoverageService> CoverageService::FromDataset(
     const Dataset& data, ServiceOptions options) {
@@ -297,16 +269,6 @@ StatusOr<AuditResult> CoverageService::Audit(const AuditRequest& request,
 
   AuditResult result;
   MupAlgorithm algorithm = request.algorithm;
-  // Workers the planner reserved from the shared budget for this audit;
-  // released when the search returns (the search itself does not charge
-  // the budget — the plan stage is its accounting point).
-  struct WorkerReservation {
-    ThreadBudget* budget = nullptr;
-    int spawned = 0;
-    ~WorkerReservation() {
-      if (budget != nullptr) budget->Release(spawned);
-    }
-  } reservation;
   if (algorithm == MupAlgorithm::kAuto) {
     obs::ScopedStage stage(trace, "plan");
     const PlannerDecision decision = PlanMupSearch(*agg_, search);
@@ -314,21 +276,6 @@ StatusOr<AuditResult> CoverageService::Audit(const AuditRequest& request,
     search.max_level = decision.max_level;
     result.planner_rationale = decision.rationale;
     search.num_threads = decision.num_threads;
-    if (decision.num_threads > 1) {
-      // The planner's pick still has to fit the process-wide spawn budget
-      // shared with every query pool and session (a search of n workers
-      // spawns n - 1; the caller is worker 0). Degrades toward serial
-      // under a full house instead of oversubscribing.
-      reservation.budget = arena_->budget().get();
-      reservation.spawned =
-          reservation.budget->TryReserve(decision.num_threads - 1);
-      search.num_threads = 1 + reservation.spawned;
-      if (search.num_threads != decision.num_threads) {
-        result.planner_rationale +=
-            "; thread budget granted " + std::to_string(search.num_threads) +
-            " of " + std::to_string(decision.num_threads) + " workers";
-      }
-    }
   }
   auto packed = [&] {
     obs::ScopedStage stage(trace, "search");
@@ -405,9 +352,8 @@ StatusOr<QueryOutcome> CoverageService::Query(
 StatusOr<QueryBatchResult> CoverageService::QueryBatch(
     const QueryBatchRequest& request, obs::Trace* trace) const {
   COVERAGE_RETURN_IF_ERROR(request.Validate(schema()));
-  const PoolArena::Lease lease = arena_->Acquire();
   obs::ScopedStage stage(trace, "query");
-  return RunQueryBatch(*oracle_, request.queries, lease.pool());
+  return RunQueryBatch(*oracle_, request.queries, options_.num_threads);
 }
 
 // ----------------------------------------------------------------- Session
@@ -484,17 +430,13 @@ StatusOr<CoverageService::Session> CoverageService::ReopenDurableSession(
 CoverageService::Session::Session(std::unique_ptr<CoverageEngine> engine,
                                   const SessionOptions& options)
     : options_(options),
-      engine_(std::move(engine)),
-      arena_(MakeArena(options.num_threads, options.max_total_threads,
-                       options.thread_budget)) {}
+      engine_(std::move(engine)) {}
 
 CoverageService::Session::Session(
     std::unique_ptr<persist::DurableEngine> durable,
     const SessionOptions& options)
     : options_(options),
-      durable_(std::move(durable)),
-      arena_(MakeArena(options.num_threads, options.max_total_threads,
-                       options.thread_budget)) {}
+      durable_(std::move(durable)) {}
 
 CoverageEngine& CoverageService::Session::engine() {
   return durable_ != nullptr ? durable_->engine() : *engine_;
@@ -599,9 +541,8 @@ StatusOr<QueryBatchResult> CoverageService::Session::QueryBatch(
   // One snapshot for the whole batch: every probe answers for the same
   // epoch even if a writer advances the engine mid-batch.
   const auto snap = engine().snapshot();
-  const PoolArena::Lease lease = arena_->Acquire();
   obs::ScopedStage stage(trace, "query");
-  return RunQueryBatch(snap->oracle(), request.queries, lease.pool());
+  return RunQueryBatch(snap->oracle(), request.queries, options_.num_threads);
 }
 
 std::uint64_t CoverageService::Session::epoch() const {

@@ -26,17 +26,14 @@
 
 namespace coverage {
 
-class PoolArena;
-class ThreadBudget;
-
 namespace persist {
 class DurableEngine;
 }  // namespace persist
 
 /// The serving façade over the paper's pipeline. A CoverageService owns one
 /// immutable indexed dataset — ingestion (in-memory Dataset, streamed CSV,
-/// or a datagen spec), aggregation, the Appendix-A oracle, and the worker
-/// pool — and answers typed requests:
+/// or a datagen spec), aggregation and the Appendix-A oracle — and answers
+/// typed requests, fanning out over the process-wide Executor:
 ///
 ///     request struct  ──Validate()──▶  StatusOr<response struct>
 ///
@@ -45,7 +42,7 @@ class DurableEngine;
 ///   EnhanceRequest     → CoveragePlan      (Problem 2: acquisition plan)
 ///   QueryRequest       → QueryOutcome      (one cov(P) probe)
 ///   QueryBatchRequest  → QueryBatchResult  (N probes fanned out over the
-///                                           pool, deterministic order)
+///                                           executor, deterministic order)
 ///
 /// Every entry point validates its request and returns StatusOr<> — no raw
 /// bools, no silent defaults. The low-level headers (BitmapCoverage,
@@ -58,21 +55,10 @@ class DurableEngine;
 
 /// Service-wide configuration, fixed at construction.
 struct ServiceOptions {
-  /// Worker count of the MUP searches and of each leased query pool.
+  /// Per-request worker cap of the MUP searches and of each QueryBatch.
+  /// Requests share the process-wide Executor, so concurrent requests never
+  /// run more threads than the CPUs between them.
   int num_threads = 1;
-
-  /// Cap on *spawned* worker threads across every query pool drawing from
-  /// this service's budget (a pool of num_threads spawns num_threads - 1;
-  /// the caller is worker 0). 0 = unlimited. Concurrent QueryBatch calls
-  /// each lease their own pool from a PoolArena until the cap is reached,
-  /// then degrade to inline execution — they never serialise on a shared
-  /// pool and never block each other. Ignored when `thread_budget` is set.
-  int max_total_threads = 0;
-
-  /// Share one budget across services and sessions (the coverage_server
-  /// threads a single budget through its whole session registry, making
-  /// `max_total_threads` genuinely process-wide). Null = private budget.
-  std::shared_ptr<ThreadBudget> thread_budget;
 
   /// Schema-inference cap per CSV column (§II preprocessing: bucketize
   /// continuous attributes first).
@@ -238,7 +224,7 @@ class CoverageService {
  public:
   CoverageService(CoverageService&&) noexcept;
   CoverageService& operator=(CoverageService&&) noexcept;
-  ~CoverageService();  // out-of-line: ThreadPool is incomplete here
+  ~CoverageService();
 
   /// Options for a Session (the mutable-data surface); mirrors
   /// EngineOptions plus the search knobs fixed for the session's lifetime.
@@ -252,13 +238,6 @@ class CoverageService {
     /// Sliding-window limits (see EngineOptions); 0 = unbounded.
     std::size_t window_max_rows = 0;
     std::size_t window_max_epochs = 0;
-
-    /// Query-pool budgeting, exactly as in ServiceOptions: each session
-    /// owns a PoolArena so concurrent QueryBatch calls fan out instead of
-    /// serialising; `thread_budget` (when set) shares one process-wide cap
-    /// across sessions.
-    int max_total_threads = 0;
-    std::shared_ptr<ThreadBudget> thread_budget;
 
     /// WAL policy for durable sessions (OpenDurableSession /
     /// ReopenDurableSession); in-memory sessions ignore it. fsync is the
@@ -290,7 +269,7 @@ class CoverageService {
    public:
     Session(Session&&) noexcept;
     Session& operator=(Session&&) noexcept;
-    ~Session();  // out-of-line: ThreadPool is incomplete here
+    ~Session();  // out-of-line: persist::DurableEngine is incomplete here
 
     const Schema& schema() const;
     const SessionOptions& options() const;
@@ -345,9 +324,6 @@ class CoverageService {
     SessionOptions options_;
     std::unique_ptr<CoverageEngine> engine_;  ///< null when durable_ owns it
     std::unique_ptr<persist::DurableEngine> durable_;
-    /// Per-session query-pool arena: concurrent QueryBatch calls each
-    /// lease their own pool (bounded by the session's ThreadBudget).
-    mutable std::unique_ptr<PoolArena> arena_;
   };
 
   // --- ingestion ----------------------------------------------------------
@@ -391,7 +367,7 @@ class CoverageService {
   /// Reopens the durable session persisted at `dir` (NotFound when none),
   /// recovering snapshot + WAL tail. The stored problem knobs (tau,
   /// max_level, window, dominance) win over `options`; only runtime knobs
-  /// (num_threads, durability, thread budgeting, idle TTL) are taken from
+  /// (num_threads, durability, idle TTL) are taken from
   /// the caller. The returned session's options() reflects the stored
   /// values.
   static StatusOr<Session> ReopenDurableSession(const std::string& dir,
@@ -422,10 +398,6 @@ class CoverageService {
   ServiceOptions options_;
   std::unique_ptr<AggregatedData> agg_;
   std::unique_ptr<BitmapCoverage> oracle_;  // references *agg_
-  /// Query-pool arena: concurrent QueryBatch calls lease separate pools
-  /// over the freely-shared read-only oracle, so N clients fan out N ways
-  /// (bounded by options_.max_total_threads / options_.thread_budget).
-  mutable std::unique_ptr<PoolArena> arena_;
 };
 
 }  // namespace coverage

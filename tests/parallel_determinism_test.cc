@@ -2,10 +2,15 @@
 // parallel PATTERN-BREAKER and DEEPDIVER return *exactly* the serial MUP set
 // (same patterns, same order). Exercised on the COMPAS workload and on
 // adversarial data whose MUPs sit at many different levels, plus the
-// thread-safety contract of a shared BitmapCoverage.
+// thread-safety contract of a shared BitmapCoverage and every parallel path
+// finishing on its caller when the shared executor is saturated.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <latch>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -293,6 +298,153 @@ TEST(SharedOracle, ConcurrentQueriesOneInstance) {
   }
   for (auto& t : threads) t.join();
   for (int t = 0; t < 8; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0);
+}
+
+/// Holds every helper of the shared executor inside one job, blocked on a
+/// latch, for the object's lifetime: while it lives, every other Run finds no
+/// idle helper and runs on its caller alone.
+class HoldAllHelpers {
+ public:
+  HoldAllHelpers()
+      : holder_([this] {
+          Executor::Shared().Run(Executor::Shared().num_helpers() + 1,
+                                 [this](int) {
+                                   held_.fetch_add(1);
+                                   release_.wait();
+                                 });
+        }) {}
+  ~HoldAllHelpers() {
+    release_.count_down();
+    holder_.join();
+  }
+
+  /// True once the holder and every helper are inside the job.
+  bool AllHeld() const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const int want = Executor::Shared().num_helpers() + 1;
+    while (held_.load() < want &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return held_.load() == want;
+  }
+
+ private:
+  std::latch release_{1};
+  std::atomic<int> held_{0};
+  std::thread holder_;
+};
+
+/// A saturated executor must not stall a parallel request: with every helper
+/// held, 4-worker DEEPDIVER (its exchange counts the workers that actually
+/// joined), PATTERN-BREAKER, PATTERN-COMBINER, a QueryBatch and a 4-thread
+/// session append through the parallel recheck each finish on the caller
+/// alone, with the 1-worker answer.
+TEST(SaturatedExecutor, EveryParallelPathFinishesOnItsCaller) {
+  using DominanceMode = MupSearchOptions::DominanceMode;
+  const Dataset compas = datagen::MakeCompas().data;
+  const AggregatedData agg(compas);
+  const BitmapCoverage oracle(agg);
+  const Dataset small = datagen::MakeCompas(2000, 3).data;
+  const AggregatedData small_agg(small);
+  const BitmapCoverage small_oracle(small_agg);
+  MupSearchOptions serial;
+  serial.tau = 10;
+
+  // 1-worker references, taken before the helpers are held.
+  std::vector<std::string> diver_serial;
+  for (const auto mode : {DominanceMode::kBitmapIndex,
+                          DominanceMode::kLinearScan,
+                          DominanceMode::kNoPruning}) {
+    MupSearchOptions options = serial;
+    options.dominance_mode = mode;
+    diver_serial.push_back(Render(FindMupsDeepDiver(oracle, options)));
+  }
+  MupSearchStats breaker_stats_serial;
+  const std::string breaker_serial =
+      Render(FindMupsPatternBreaker(oracle, serial, &breaker_stats_serial));
+  const auto combiner_serial = FindMupsPatternCombiner(small_oracle, serial);
+  ASSERT_TRUE(combiner_serial.ok());
+
+  ServiceOptions one_worker;
+  auto service_serial = CoverageService::FromDataset(compas, one_worker);
+  ASSERT_TRUE(service_serial.ok());
+  ServiceOptions four_workers;
+  four_workers.num_threads = 4;
+  auto service = CoverageService::FromDataset(compas, four_workers);
+  ASSERT_TRUE(service.ok());
+  QueryBatchRequest batch;
+  PatternGraph graph(compas.schema());
+  const auto patterns = graph.EnumerateAll(1u << 12);
+  ASSERT_TRUE(patterns.ok());
+  for (const Pattern& p : *patterns) {
+    batch.queries.push_back(QueryRequest{p, p.level() % 2 == 0 ? 0u : 10u});
+  }
+  const auto batch_serial = service_serial->QueryBatch(batch);
+  ASSERT_TRUE(batch_serial.ok());
+
+  // The diagonal leaves hundreds of MUPs after the first append, so the
+  // second append's old-MUP recheck (>= 128) takes the parallel path.
+  const Dataset diagonal = datagen::MakeDiagonal(12);
+  Dataset more(diagonal.schema());
+  for (std::size_t r = 0; r < diagonal.num_rows(); r += 7) {
+    more.AppendRow(diagonal.row(r));
+  }
+  CoverageService::SessionOptions session_options;
+  session_options.tau = 7;
+  auto session_serial =
+      CoverageService::OpenSession(diagonal.schema(), session_options);
+  ASSERT_TRUE(session_serial.ok());
+  ASSERT_TRUE(session_serial->Append(diagonal).ok());
+  ASSERT_GE(session_serial->Audit().mups.size(), 128u);
+  ASSERT_TRUE(session_serial->Append(more).ok());
+  session_options.num_threads = 4;
+  auto session =
+      CoverageService::OpenSession(diagonal.schema(), session_options);
+  ASSERT_TRUE(session.ok());
+
+  const HoldAllHelpers hold;
+  ASSERT_TRUE(hold.AllHeld());
+  const int helpers = Executor::Shared().num_helpers();
+  ASSERT_EQ(Executor::Shared().busy(), helpers);
+
+  MupSearchOptions parallel = serial;
+  parallel.num_threads = 4;
+  std::size_t m = 0;
+  for (const auto mode : {DominanceMode::kBitmapIndex,
+                          DominanceMode::kLinearScan,
+                          DominanceMode::kNoPruning}) {
+    MupSearchOptions options = parallel;
+    options.dominance_mode = mode;
+    EXPECT_EQ(Render(FindMupsDeepDiver(oracle, options)), diver_serial[m++])
+        << "mode=" << static_cast<int>(mode);
+  }
+  MupSearchStats breaker_stats;
+  EXPECT_EQ(Render(FindMupsPatternBreaker(oracle, parallel, &breaker_stats)),
+            breaker_serial);
+  EXPECT_EQ(breaker_stats.coverage_queries,
+            breaker_stats_serial.coverage_queries);
+  const auto combiner = FindMupsPatternCombiner(small_oracle, parallel);
+  ASSERT_TRUE(combiner.ok());
+  EXPECT_EQ(Render(*combiner), Render(*combiner_serial));
+
+  const auto answered = service->QueryBatch(batch);
+  ASSERT_TRUE(answered.ok());
+  ASSERT_EQ(answered->results.size(), batch_serial->results.size());
+  for (std::size_t i = 0; i < answered->results.size(); ++i) {
+    EXPECT_EQ(answered->results[i].coverage, batch_serial->results[i].coverage);
+    EXPECT_EQ(answered->results[i].covered, batch_serial->results[i].covered);
+  }
+
+  ASSERT_TRUE(session->Append(diagonal).ok());
+  const auto rechecked = session->Append(more);
+  ASSERT_TRUE(rechecked.ok());
+  EXPECT_GE(rechecked->mups_rechecked, 128u);
+  EXPECT_EQ(Render(session->Audit().mups), Render(session_serial->Audit().mups));
+
+  // Nothing ran on a helper: they were all held the whole time.
+  EXPECT_EQ(Executor::Shared().busy(), helpers);
 }
 
 }  // namespace

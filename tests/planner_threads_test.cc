@@ -1,13 +1,11 @@
 // The kAuto planner's worker pick (PlannerDecision::num_threads): serial
 // callers get byte-identical rationales (the golden CLI transcripts pin
 // them), small pattern graphs stay serial regardless of the cap, large
-// graphs fan out up to the root's fan-out, and the service-level audit
-// clamps the pick to the shared ThreadBudget and releases the reservation
-// when the search returns.
+// graphs fan out up to the root's fan-out, and a service-level audit runs
+// the pick on the shared executor with the 1-worker answer.
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +17,6 @@
 #include "dataset/schema.h"
 #include "mups/mups.h"
 #include "service/coverage_service.h"
-#include "service/pool_arena.h"
 
 namespace coverage {
 namespace {
@@ -100,41 +97,30 @@ TEST(PlannerThreads, AutoDispatchMatchesSerialMupSet) {
   EXPECT_EQ(Render(*parallel), Render(*serial));
 }
 
-TEST(PlannerThreads, ServiceAuditClampsToThreadBudgetAndReleases) {
-  // The planner wants 8 workers; the shared budget only has 2 spawnable
-  // threads, so the audit runs with 3 (caller + 2) and says so.
+TEST(PlannerThreads, ServiceAuditAtEightWorkersMatchesSerial) {
+  // The planner picks 8 workers; the executor decides how many join. The
+  // answer is the 1-worker MUP set and the rationale has no budget clause.
+  ServiceOptions serial_options;
+  auto serial_service =
+      CoverageService::FromDataset(MakeWideUniform(500), serial_options);
+  ASSERT_TRUE(serial_service.ok()) << serial_service.status().ToString();
   ServiceOptions options;
   options.num_threads = 8;
-  options.thread_budget = std::make_shared<ThreadBudget>(2);
-  auto service =
-      CoverageService::FromDataset(MakeWideUniform(500), options);
+  auto service = CoverageService::FromDataset(MakeWideUniform(500), options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   AuditRequest request;
   request.tau = 2;
+  const auto serial = serial_service->Audit(request);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
   const auto result = service->Audit(request);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_NE(result->planner_rationale.find("8 workers"), std::string::npos);
-  EXPECT_NE(result->planner_rationale.find("thread budget granted 3 of 8"),
-            std::string::npos)
+  ASSERT_FALSE(serial->mups.empty());
+  EXPECT_EQ(Render(result->mups), Render(serial->mups));
+  EXPECT_NE(result->planner_rationale.find("8 workers"), std::string::npos)
       << result->planner_rationale;
-  // The reservation is released once the search returns.
-  EXPECT_EQ(options.thread_budget->reserved(), 0);
-
-  // With headroom there is no clamp clause at all.
-  ServiceOptions roomy;
-  roomy.num_threads = 4;
-  roomy.thread_budget = std::make_shared<ThreadBudget>(0);  // unlimited
-  auto free_service =
-      CoverageService::FromDataset(MakeWideUniform(500), roomy);
-  ASSERT_TRUE(free_service.ok());
-  const auto unclamped = free_service->Audit(request);
-  ASSERT_TRUE(unclamped.ok());
-  EXPECT_EQ(unclamped->planner_rationale.find("thread budget"),
-            std::string::npos);
-  EXPECT_NE(unclamped->planner_rationale.find("4 workers"),
-            std::string::npos);
-  EXPECT_EQ(Render(unclamped->mups), Render(result->mups));
+  EXPECT_EQ(result->planner_rationale.find("budget"), std::string::npos)
+      << result->planner_rationale;
 }
 
 }  // namespace

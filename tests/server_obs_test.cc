@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include "common/executor.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/prometheus.h"
@@ -109,6 +110,12 @@ TEST_F(ServerObsTest, MetricsEndpointSpeaksPrometheus) {
             std::string::npos);
   // Callback gauges evaluate live state.
   EXPECT_NE(text.find("coverage_sessions_open 0\n"), std::string::npos);
+  EXPECT_NE(text.find("coverage_executor_threads " +
+                      std::to_string(Executor::Shared().num_helpers()) +
+                      "\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("# TYPE coverage_executor_busy gauge\n"),
+            std::string::npos);
 }
 
 TEST_F(ServerObsTest, EngineGaugesTrackSessionState) {
@@ -225,7 +232,9 @@ TEST_F(ServerObsTest, StatsExposesEngineSection) {
   EXPECT_NE(engine->Find("mups"), nullptr);
   EXPECT_NE(engine->Find("tombstones"), nullptr);
   EXPECT_NE(engine->Find("window_rows"), nullptr);
-  EXPECT_NE(engine->Find("threads_budget"), nullptr);
+  EXPECT_EQ(*engine->GetUint("executor_threads"),
+            static_cast<std::uint64_t>(Executor::Shared().num_helpers()));
+  EXPECT_NE(engine->Find("executor_busy"), nullptr);
   // The route table is still there (the pre-obs /v1/stats contract).
   EXPECT_NE(body->Find("routes"), nullptr);
 }

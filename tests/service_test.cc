@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -406,8 +407,8 @@ TEST(Service, QueryBatchMatchesReferenceAndThreadCountsAgree) {
 
 TEST(Service, ConcurrentQueryBatchCanary) {
   // Several threads share one service and issue batches simultaneously; the
-  // batches serialise on the pool, the oracle is immutable, and every answer
-  // must be right. This is the TSan canary for the batched path.
+  // batches share the process-wide executor, the oracle is immutable, and
+  // every answer must be right. This is the TSan canary for the batched path.
   const Dataset data = datagen::MakeAirbnb(10000, 6);
   ScanCoverage reference(data);
   ServiceOptions options;
@@ -451,6 +452,106 @@ TEST(Service, ConcurrentQueryBatchCanary) {
   for (int t = 0; t < 4; ++t) {
     EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0);
   }
+}
+
+/// Concurrent QueryBatch callers on one service: every caller's results
+/// equal the serial run, however the executor's helpers are split among them.
+TEST(ConcurrentQueryBatch, CallersFanOutAndAgreeWithSerial) {
+  ServiceOptions options;
+  options.num_threads = 2;
+  auto service = CoverageService::FromSpec(DatagenSpec{"compas", 0, 13, 1},
+                                           options);
+  ASSERT_TRUE(service.ok());
+
+  QueryBatchRequest request;
+  const Schema& schema = service->schema();
+  for (int a = 0; a < schema.num_attributes(); ++a) {
+    for (Value v = 0; v < static_cast<Value>(schema.cardinality(a)); ++v) {
+      request.queries.push_back(
+          QueryRequest{Pattern::Root(schema.num_attributes()).WithCell(a, v),
+                       0});
+    }
+  }
+  auto expected = service->QueryBatch(request);
+  ASSERT_TRUE(expected.ok());
+
+  constexpr int kThreads = 8;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int round = 0; round < 10; ++round) {
+        auto result = service->QueryBatch(request);
+        if (!result.ok() ||
+            result->results.size() != expected->results.size()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (std::size_t i = 0; i < result->results.size(); ++i) {
+          if (result->results[i].coverage != expected->results[i].coverage ||
+              result->results[i].covered != expected->results[i].covered) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(ConcurrentQueryBatch, SessionsSharingTheExecutorStayCorrect) {
+  CoverageService::SessionOptions options;
+  options.tau = 2;
+  options.num_threads = 4;
+  const Schema schema = Schema::Uniform({2, 2, 2});
+  auto first = CoverageService::OpenSession(schema, options);
+  auto second = CoverageService::OpenSession(schema, options);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+
+  Dataset rows(schema);
+  for (std::size_t r = 0; r < 500; ++r) {
+    rows.AppendRow(std::vector<Value>{static_cast<Value>(r % 2),
+                                      static_cast<Value>((r / 2) % 2),
+                                      static_cast<Value>((r / 4) % 2)});
+  }
+  ASSERT_TRUE(first->Append(rows).ok());
+  ASSERT_TRUE(second->Append(rows).ok());
+
+  QueryBatchRequest request;
+  for (const char* text : {"XXX", "0XX", "X1X", "011", "111"}) {
+    auto pattern = Pattern::Parse(text, schema);
+    ASSERT_TRUE(pattern.ok());
+    request.queries.push_back(QueryRequest{*pattern, 0});
+  }
+  auto expected = first->QueryBatch(request);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_EQ(expected->results[0].coverage, 500u);
+  // Both sessions answer concurrently; a batch that finds every helper busy
+  // runs inline — results must equal the serial run either way.
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      const auto& session = (t % 2 == 0) ? *first : *second;
+      for (int round = 0; round < 10; ++round) {
+        auto result = session.QueryBatch(request);
+        if (!result.ok()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (std::size_t i = 0; i < result->results.size(); ++i) {
+          if (result->results[i].coverage != expected->results[i].coverage) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --------------------------------------------------------------- sessions --

@@ -19,18 +19,17 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "cluster/coordinator.h"
+#include "common/executor.h"
 #include "datagen/adversarial.h"
 #include "datagen/airbnb.h"
 #include "datagen/bluenile.h"
 #include "datagen/compas.h"
 #include "obs/log.h"
 #include "server/coverage_server.h"
-#include "service/pool_arena.h"
 
 namespace {
 
@@ -40,8 +39,7 @@ struct ServerCliOptions {
   std::size_t spec_rows = 0;  // --rows (0 = dataset default)
   int spec_d = 13;            // --d (airbnb/diagonal width)
   int port = 8080;
-  int threads = 0;            // 0 = hardware concurrency
-  int max_total_threads = 0;  // 0 = unlimited (process-wide query-pool cap)
+  int threads = 0;            // 0 = the CPUs this process may run on
   std::size_t max_body_bytes = 8 * 1024 * 1024;
   std::uint64_t tau = 30;     // default tau for sessions
   int max_cardinality = 100;
@@ -76,10 +74,10 @@ void Usage(std::ostream& out) {
          "  --d N                  --spec width for airbnb/diagonal\n"
          "  --port N               TCP port (default 8080; 0 = ephemeral,\n"
          "                         printed on stdout)\n"
-         "  --threads N            HTTP workers and per-query-pool width\n"
-         "                         (default 0 = hardware concurrency)\n"
-         "  --max-total-threads N  process-wide cap on spawned query-pool\n"
-         "                         threads (default 0 = unlimited)\n"
+         "  --threads N            HTTP workers and the per-request worker\n"
+         "                         cap of searches and query batches, which\n"
+         "                         share one process-wide executor (default\n"
+         "                         0 = the CPUs this process may run on)\n"
          "  --max-body-bytes N     reject request bodies above N bytes\n"
          "                         (default 8388608)\n"
          "  --tau N                default coverage threshold for sessions\n"
@@ -141,7 +139,6 @@ int main(int argc, char** argv) {
   using coverage::CoverageService;
   using coverage::DatagenSpec;
   using coverage::ServiceOptions;
-  using coverage::ThreadBudget;
 
   ServerCliOptions cli;
   std::vector<std::string> args(argv + 1, argv + argc);
@@ -173,9 +170,6 @@ int main(int argc, char** argv) {
     } else if (flag == "--threads") {
       next(&v);
       cli.threads = static_cast<int>(v);
-    } else if (flag == "--max-total-threads") {
-      next(&v);
-      cli.max_total_threads = static_cast<int>(v);
     } else if (flag == "--max-body-bytes") {
       next(&v);
       cli.max_body_bytes = static_cast<std::size_t>(v);
@@ -223,6 +217,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
+  if (cli.threads <= 0) cli.threads = coverage::HardwareWorkers();
   if (cli.role != "standalone" && cli.role != "shard" &&
       cli.role != "coordinator") {
     std::cerr << "--role must be standalone, shard or coordinator\n";
@@ -293,22 +288,9 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  // One budget shared by the immutable service and every session the
-  // server opens: --max-total-threads is genuinely process-wide.
-  auto budget = std::make_shared<ThreadBudget>(cli.max_total_threads);
-
-  // ServiceOptions::Validate rejects 0, so resolve "use the hardware" here
-  // the same way ThreadPool would.
-  int service_threads = cli.threads;
-  if (service_threads <= 0) {
-    service_threads =
-        static_cast<int>(std::thread::hardware_concurrency());
-    if (service_threads < 1) service_threads = 1;
-  }
   ServiceOptions sopts;
-  sopts.num_threads = service_threads;
+  sopts.num_threads = cli.threads;
   sopts.max_cardinality = cli.max_cardinality;
-  sopts.thread_budget = budget;
 
   const DatagenSpec spec{cli.spec_name, cli.spec_rows, cli.spec_d, 42};
   auto service = [&]() -> coverage::StatusOr<CoverageService> {
@@ -361,13 +343,12 @@ int main(int argc, char** argv) {
 
   CoverageServerOptions options;
   options.http.port = cli.port;
-  options.http.num_threads = cli.threads;  // 0 = hardware concurrency
+  options.http.num_threads = cli.threads;
   options.http.max_body_bytes = cli.max_body_bytes;
   options.http.max_pending = static_cast<std::size_t>(cli.max_pending);
   options.http.max_queue_wait_ms = static_cast<int>(cli.max_queue_wait_ms);
   options.session_defaults.tau = cli.tau;
-  options.session_defaults.num_threads = service_threads;
-  options.session_defaults.thread_budget = budget;
+  options.session_defaults.num_threads = cli.threads;
   options.session_defaults.idle_ttl_seconds = cli.idle_ttl;
   options.data_dir = cli.data_dir;
   options.enable_internal_routes = cli.role == "shard";
